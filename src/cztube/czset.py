@@ -10,17 +10,32 @@ with the equality constraints.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .lp import LinearProgram, LpStatus, LpError, check_feasibility, solve_lp
+from .lp import (
+    BASIC,
+    NONBASIC,
+    SMALL_MATRIX_VALUE,
+    LinearProgram,
+    LpBasis,
+    LpError,
+    LpStatus,
+    check_feasibility,
+    solve_lp,
+)
 
 RANK_TOL = 1e-10
 CONTAIN_TOL = 1e-7
-SUPPORT_TOL = 1e-7
+
+# Held while a memoized value is computed, so that threads which miss on
+# the same key (Monte Carlo workers reaching the same tube set) compute
+# it once; re-entrant in case a computation fills another set's memo.
+_MEMO_LOCK = threading.RLock()
 
 
 class EmptySetError(Exception):
@@ -59,10 +74,12 @@ class ConstrainedZonotope:
     G is dense n x n_g, c is length n, A is sparse n_e x n_g, b is
     length n_e.  Instances are treated as immutable; every operation
     returns a new object.  Latent columns that appear in neither G nor
-    A are pruned at construction.
+    A are pruned at construction.  Values derived from a set, such as
+    the canonical simplex bases that warm-start queries on its slices,
+    are memoized on it (``cached``).
     """
 
-    __slots__ = ("G", "c", "A", "b", "_empty_cache")
+    __slots__ = ("G", "c", "A", "b", "_cache", "_slice_of")
 
     def __init__(self, G, c, A=None, b=None):
         c = np.asarray(c, dtype=float).ravel()
@@ -90,8 +107,7 @@ class ConstrainedZonotope:
         if n_g:
             used = np.abs(G).max(axis=0) > 0
             if A.shape[0]:
-                col_nnz = np.diff(A.tocsc().indptr)
-                used |= col_nnz > 0
+                used |= np.bincount(A.indices, minlength=n_g) > 0
             if not used.all():
                 keep = np.flatnonzero(used)
                 G = G[:, keep]
@@ -100,7 +116,9 @@ class ConstrainedZonotope:
         self.c = c
         self.A = A
         self.b = b
-        self._empty_cache = None
+        self._cache = {}
+        # (parent, pinned rows, banded) when this set is parent.slice(...)
+        self._slice_of = None
 
     # -- representation queries ------------------------------------------
 
@@ -115,6 +133,22 @@ class ConstrainedZonotope:
     @property
     def n_constraints(self) -> int:
         return self.A.shape[0]
+
+    def cached(self, key, compute):
+        """compute(), memoized on this set under key.
+
+        Only for values that are a pure function of the set and of what
+        key names; sets are immutable, so such a value never goes stale.
+        Each value is computed once, also when threads miss together.
+        """
+        try:
+            return self._cache[key]
+        except KeyError:
+            pass
+        with _MEMO_LOCK:
+            if key not in self._cache:
+                self._cache[key] = compute()
+            return self._cache[key]
 
     def __repr__(self):
         return (
@@ -200,7 +234,14 @@ class ConstrainedZonotope:
         """Pin coordinates to values; ambient dimension is kept.
 
         With tol > 0 each pinned coordinate is allowed a +-tol band,
-        realized as one extra slack generator per pinned row.
+        realized as one extra slack generator per pinned row.  A band
+        narrower than SMALL_MATRIX_VALUE would be a coefficient the LP
+        solver drops, so such a slice is built exact instead.
+
+        The latent layout is the parent's with the m pin rows appended
+        to A and, for a band, m band columns appended after the parent's
+        latents; support queries on the slice warm-start from it
+        (``_slice_basis``).
         """
         dims = np.asarray(dims, dtype=int)
         values = np.asarray(values, dtype=float).ravel()
@@ -208,16 +249,46 @@ class ConstrainedZonotope:
             raise ValueError("slice index/value length mismatch")
         E = np.zeros((dims.size, self.dim))
         E[np.arange(dims.size), dims] = 1.0
-        if tol <= 0.0:
-            return self.intersect_affine(E, values)
-        n_g = self.n_generators
         m = dims.size
-        G = np.hstack([self.G, np.zeros((self.dim, m))])
-        rows = sp.hstack([sp.csr_matrix(E @ self.G), -tol * sp.eye(m, format="csr")])
-        A = sp.bmat([[self.A, None], [None, sp.csr_matrix((0, m))]], format="csr")
-        A = sp.vstack([A, rows], format="csr")
-        b = np.concatenate([self.b, values - E @ self.c])
-        return ConstrainedZonotope(G, self.c, A, b)
+        banded = tol >= SMALL_MATRIX_VALUE
+        if not banded:
+            out = self.intersect_affine(E, values)
+        else:
+            n_e, n_g = self.A.shape
+            G = np.hstack([self.G, np.zeros((self.dim, m))])
+            rows = sp.hstack([sp.csr_matrix(E @ self.G), -tol * sp.eye(m, format="csr")], format="csr")
+            # the parent's rows, widened by the m band columns
+            A = sp.csr_matrix((self.A.data, self.A.indices, self.A.indptr), shape=(n_e, n_g + m))
+            A = sp.vstack([A, rows], format="csr")
+            b = np.concatenate([self.b, values - E @ self.c])
+            out = ConstrainedZonotope(G, self.c, A, b)
+        out._slice_of = (self, m, banded)
+        return out
+
+    def _slice_basis(self, eta):
+        """Starting basis for this slice's support LP in direction eta,
+        or None when this set is no slice or its parent's support LP has
+        no optimal basis.
+
+        The slice's support LP is the parent's plus the pin rows (and
+        band columns, whose cost is zero).  The parent's optimal basis,
+        extended with the band columns basic and the pin rows nonbasic
+        (for an exact slice: the pin rows basic), gives the pin rows zero
+        dual weight and leaves every other dual and reduced cost as it
+        was.  It is therefore dual feasible whatever values are pinned,
+        and dual simplex only repairs the pinned rows.  The parent's
+        basis is canonical (``_support_basis``), so the answer does not
+        depend on which slices were queried before.
+        """
+        if self._slice_of is None:
+            return None
+        parent, m, banded = self._slice_of
+        base = parent._support_basis(eta)
+        if base is None:
+            return None
+        if banded:
+            return LpBasis(base.cols + (BASIC,) * m, base.rows + (NONBASIC,) * m)
+        return LpBasis(base.cols, base.rows + (BASIC,) * m)
 
     def project(self, dims) -> "ConstrainedZonotope":
         dims = np.asarray(dims, dtype=int)
@@ -260,18 +331,38 @@ class ConstrainedZonotope:
         )
 
     def is_empty(self) -> bool:
-        if self._empty_cache is None:
+        def solve():
             sol = check_feasibility(self._latent_lp(np.zeros(self.n_generators)))
             if sol.status == LpStatus.NUMERICAL_FAILURE:
                 raise LpError("emptiness check failed numerically")
-            self._empty_cache = sol.status == LpStatus.INFEASIBLE
-        return self._empty_cache
+            return sol.status == LpStatus.INFEASIBLE
+
+        return self.cached("empty", solve)
+
+    def _support_lp(self, eta) -> LinearProgram:
+        return self._latent_lp(-(self.G.T @ eta))
+
+    def _support_basis(self, eta):
+        """Canonical optimal basis of the support LP in direction eta: the
+        basis of a cold solve, memoized on the set; None when that LP has
+        no variables or no optimum."""
+
+        def solve():
+            if self.n_generators == 0:
+                return None
+            sol = solve_lp(self._support_lp(eta))
+            return sol.basis if sol.status == LpStatus.OPTIMAL else None
+
+        return self.cached(("support_basis", eta.tobytes()), solve)
 
     def _support_solution(self, eta):
         eta = np.asarray(eta, dtype=float).ravel()
         if eta.size != self.dim:
             raise ValueError("direction dimension mismatch")
-        sol = solve_lp(self._latent_lp(-(self.G.T @ eta)))
+        prob = self._support_lp(eta)
+        basis = self._slice_basis(eta)
+        # a cold solve keeps the two-argument solve_lp call that test doubles take
+        sol = solve_lp(prob) if basis is None else solve_lp(prob, basis=basis)
         if sol.status == LpStatus.INFEASIBLE:
             raise EmptySetError("support query on an empty set")
         if sol.status != LpStatus.OPTIMAL:

@@ -8,6 +8,14 @@ the cost-to-go.  Also provides the instantaneous reachable set in the
 translation-invariant horizontal subspace, a decision-deferral rollout
 that keeps two landing sites reachable as long as possible, and a
 Monte Carlo harness for the robust configuration.
+
+The horizon scan and the one-step LPs are warm-started.  Across queries
+each of these LPs keeps its matrix and objective, and only the pinned
+physical state changes, so dual simplex starts from the optimal basis of
+the same LP with the state left free.  That basis is canonical: it is
+computed once per tube set (and direction, or control set and dynamics)
+and memoized on the set, never taken from a previous query, so every
+answer is independent of the order of the queries before it.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import scipy.sparse as sp
 
 from .czset import ConstrainedZonotope, EmptySetError
 from .landing import CONTROL_DIM, STATE_DIM, DiscreteDynamics, LandingScenario
-from .lp import LinearProgram, LpError, LpStatus, solve_lp
+from .lp import LinearProgram, LpBasis, LpError, LpStatus, solve_lp
 from .tube import ControllableTube
 from .uncertainty import DisturbanceSchedule, UncertaintyModel
 
@@ -56,7 +64,6 @@ class StepRecord:
     k: int
     state: np.ndarray
     control: np.ndarray
-    lp_objective: float
 
 
 @dataclass
@@ -82,7 +89,10 @@ class RolloutLog:
 
 def _min_cost_at_state(cs: ConstrainedZonotope, x_i: np.ndarray, tol: float = SLICE_TOL):
     """Left endpoint of the cost interval of CS sliced at the physical state,
-    or None when the state is not contained."""
+    or None when the state is not contained.
+
+    The support query on the slice warm-starts from CS's canonical
+    min-cost basis, computed on the first query and memoized on CS."""
     sliced = cs.slice(np.arange(STATE_DIM - 1), x_i, tol=tol)
     e_c = np.zeros(STATE_DIM)
     e_c[-1] = -1.0
@@ -90,6 +100,22 @@ def _min_cost_at_state(cs: ConstrainedZonotope, x_i: np.ndarray, tol: float = SL
         return -sliced.support(e_c)
     except EmptySetError:
         return None
+
+
+def _horizon_scan(sets, x_i: np.ndarray, tol: float, outside: str) -> HorizonQuery:
+    """Cheapest containing index among sets (sets[k-1] is index k); cost
+    ties go to the larger index.  Raises NoContainmentError(outside)
+    when no set contains the state."""
+    costs = {}
+    for k, cs in enumerate(sets, start=1):
+        c_k = _min_cost_at_state(cs, x_i, tol=tol)
+        if c_k is not None:
+            costs[k] = c_k
+    if not costs:
+        raise NoContainmentError(outside)
+    c_star = min(costs.values())
+    k_star = max(k for k, v in costs.items() if v <= c_star + TIE_TOL)
+    return HorizonQuery(sorted(costs), costs, k_star, c_star)
 
 
 def optimal_horizon(x_i, tube: ControllableTube, tol: float = SLICE_TOL) -> HorizonQuery:
@@ -102,19 +128,64 @@ def optimal_horizon(x_i, tube: ControllableTube, tol: float = SLICE_TOL) -> Hori
     x_i = np.asarray(x_i, dtype=float).ravel()
     if x_i.size != STATE_DIM - 1:
         raise ValueError("horizon query expects the 7-dim physical state")
-    costs = {}
-    for k in range(1, tube.N + 1):
-        c_k = _min_cost_at_state(tube.cs(k), x_i, tol=tol)
-        if c_k is not None:
-            costs[k] = c_k
-    if not costs:
-        raise NoContainmentError("initial state is outside every controllable set")
-    c_star = min(costs.values())
-    k_star = max(k for k, v in costs.items() if v <= c_star + TIE_TOL)
-    return HorizonQuery(sorted(costs), costs, k_star, c_star)
+    return _horizon_scan(tube.sets, x_i, tol, "initial state is outside every controllable set")
 
 
 # -- one-step optimal control ---------------------------------------------
+
+
+@dataclass
+class _OneStepModel:
+    """The one-step LP into one tube set for one control set and dynamics,
+    with the physical state as free columns, and its canonical basis.
+
+    The control set and dynamics are held so that the ids keying the
+    model on the tube set stay theirs."""
+
+    control_set: ConstrainedZonotope
+    dyn: DiscreteDynamics
+    prob: LinearProgram
+    basis: Optional[LpBasis]
+
+
+def _one_step_model(cs_next, control_set, dyn) -> _OneStepModel:
+    Gu, cu, Au, bu = control_set.G, control_set.c, control_set.A, control_set.b
+    Gn, cn, An, bn = cs_next.G, cs_next.c, cs_next.A, cs_next.b
+    n_u, n_n, n_x = Gu.shape[1], Gn.shape[1], STATE_DIM - 1
+    # variables: [xi_u (n_u), xi_next (n_n), c_k, x_phys (7)]
+    nv = n_u + n_n + 1 + n_x
+    c_obj = np.zeros(nv)
+    c_obj[n_u + n_n] = 1.0
+    # dynamics/membership: A x + B(Gu xi_u + cu) + d = Gn xi_next + cn
+    # with x = (x_phys, c_k):  B Gu xi_u - Gn xi_next + A[:, -1] c_k
+    #                          + A[:, :7] x_phys = cn - d - B cu
+    lhs = sp.hstack(
+        [
+            sp.csr_matrix(dyn.B @ Gu),
+            sp.csr_matrix(-Gn),
+            sp.csr_matrix(dyn.A[:, -1][:, None]),
+            sp.csr_matrix(dyn.A[:, :n_x]),
+        ],
+        format="csr",
+    )
+    E = sp.vstack(
+        [
+            lhs,
+            sp.hstack([Au, sp.csr_matrix((Au.shape[0], n_n + 1 + n_x))], format="csr"),
+            sp.hstack(
+                [sp.csr_matrix((An.shape[0], n_u)), An, sp.csr_matrix((An.shape[0], 1 + n_x))],
+                format="csr",
+            ),
+        ],
+        format="csr",
+    )
+    f = np.concatenate([cn - dyn.d - dyn.B @ cu, bu, bn])
+    lb = np.concatenate([-np.ones(n_u + n_n), np.full(1 + n_x, -np.inf)])
+    ub = np.concatenate([np.ones(n_u + n_n), np.full(1 + n_x, np.inf)])
+    prob = LinearProgram(c_obj, E, f, lb=lb, ub=ub)
+    sol = solve_lp(prob)
+    basis = sol.basis if sol.status == LpStatus.OPTIMAL else None
+    return _OneStepModel(control_set, dyn, prob, basis)
 
 
 def one_step_ocp(
@@ -125,54 +196,35 @@ def one_step_ocp(
 ):
     """Minimize the cost-to-go subject to landing in the next tube set.
 
-    Variables are the control-set latents, the next-set latents, and the
-    current cost-to-go c_k; the physical part of the current state is
-    fixed and the dynamics are substituted into the membership rows.
-    Returns (control, next_state, c_k).
+    Variables are the control-set latents, the next-set latents, the
+    current cost-to-go c_k and the physical part of the current state,
+    fixed by its bounds (lb = ub = x), so the LP's matrix and objective
+    do not depend on the state.  The same LP with the state free is
+    solved once per (cs_next, control_set, dyn) and memoized on cs_next;
+    its optimal basis is dual feasible for every state and warm-starts
+    each query.  Returns (control, next_state, c_k).
     """
     x_k = np.asarray(x_k, dtype=float).ravel()
     x_phys = x_k[: STATE_DIM - 1]
-    Gu, cu, Au, bu = control_set.G, control_set.c, control_set.A, control_set.b
-    Gn, cn, An, bn = cs_next.G, cs_next.c, cs_next.A, cs_next.b
-    n_u, n_n = Gu.shape[1], Gn.shape[1]
-    # variables: [xi_u (n_u), xi_next (n_n), c_k]
-    nv = n_u + n_n + 1
-    c_obj = np.zeros(nv)
-    c_obj[-1] = 1.0
-    # dynamics/membership: A x + B(Gu xi_u + cu) + d = Gn xi_next + cn
-    # with x = (x_phys, c_k):  B Gu xi_u - Gn xi_next + A[:, -1] c_k
-    #                          = cn - d - B cu - A[:, :7] x_phys
-    lhs = sp.hstack(
-        [
-            sp.csr_matrix(dyn.B @ Gu),
-            sp.csr_matrix(-Gn),
-            sp.csr_matrix(dyn.A[:, -1][:, None]),
-        ],
-        format="csr",
+    model = cs_next.cached(
+        ("one_step", id(control_set), id(dyn)),
+        lambda: _one_step_model(cs_next, control_set, dyn),
     )
-    rhs = cn - dyn.d - dyn.B @ cu - dyn.A[:, : STATE_DIM - 1] @ x_phys
-    E = sp.vstack(
-        [
-            lhs,
-            sp.hstack([Au, sp.csr_matrix((Au.shape[0], n_n + 1))], format="csr"),
-            sp.hstack(
-                [sp.csr_matrix((An.shape[0], n_u)), An, sp.csr_matrix((An.shape[0], 1))],
-                format="csr",
-            ),
-        ],
-        format="csr",
-    )
-    f = np.concatenate([rhs, bu, bn])
-    lb = np.concatenate([-np.ones(n_u + n_n), [-np.inf]])
-    ub = np.concatenate([np.ones(n_u + n_n), [np.inf]])
-    sol = solve_lp(LinearProgram(c_obj, E, f, lb=lb, ub=ub))
+    canon = model.prob
+    n_u = control_set.n_generators
+    i_c = canon.n_vars - STATE_DIM
+    lb = canon.lb.copy()
+    ub = canon.ub.copy()
+    lb[i_c + 1 :] = ub[i_c + 1 :] = x_phys
+    prob = LinearProgram(canon.c_obj, canon.E, canon.f, lb=lb, ub=ub)
+    sol = solve_lp(prob, basis=model.basis)
     if sol.status == LpStatus.INFEASIBLE:
         raise InfeasibleError("one-step control problem is infeasible from this state")
     if sol.status != LpStatus.OPTIMAL:
         raise LpError(f"one-step control LP ended with status {sol.status}")
     xi_u = sol.x_opt[:n_u]
-    c_k = float(sol.x_opt[-1])
-    control = Gu @ xi_u + cu
+    c_k = float(sol.x_opt[i_c])
+    control = control_set.G @ xi_u + control_set.c
     state = np.concatenate([x_phys, [c_k]])
     next_state = dyn.step(state, control)
     return control, next_state, c_k
@@ -196,7 +248,7 @@ def forward_rollout(
     for k in range(hq.k_star, tube.N):
         control, next_state, c_k = one_step_ocp(state, tube.cs(k + 1), control_set, dyn)
         state[-1] = c_k
-        records.append(StepRecord(k, state.copy(), control, c_k))
+        records.append(StepRecord(k, state.copy(), control))
         if k == hq.k_star:
             total_cost = c_k
         state = next_state
@@ -401,15 +453,10 @@ def ddto_rollout(
     """
     x_i = np.asarray(x_i, dtype=float).ravel()
     delta = _embed_offset(backup_offset)
-    costs = {}
-    for k in range(1, tube.N + 1):
-        c_k = _min_cost_at_state(effective_tube_set(tube, k, delta), x_i)
-        if c_k is not None:
-            costs[k] = c_k
-    if not costs:
-        raise NoContainmentError("initial state is outside the effective tube")
-    c_star = min(costs.values())
-    k_start = max(i for i, v in costs.items() if v <= c_star + TIE_TOL)
+    # built once, so re-queries in the loop reuse each set's memoized bases
+    eff = [effective_tube_set(tube, k, delta) for k in range(1, tube.N + 1)]
+    hq = _horizon_scan(eff, x_i, SLICE_TOL, "initial state is outside the effective tube")
+    k_start, c_star = hq.k_star, hq.c_star
 
     state = np.concatenate([x_i, [c_star]])
     records = []
@@ -424,9 +471,9 @@ def ddto_rollout(
         else:
             # defer only while the current state is still inside the
             # intersection (both sites' path constraints hold right now)
-            c_here = _min_cost_at_state(effective_tube_set(tube, k, delta), state[: STATE_DIM - 1])
+            c_here = _min_cost_at_state(eff[k - 1], state[: STATE_DIM - 1])
             if c_here is not None:
-                target = effective_tube_set(tube, k + 1, delta)
+                target = eff[k]
                 if not target.is_empty():
                     try:
                         step_result = one_step_ocp(state, target, control_set, dyn)
@@ -443,7 +490,7 @@ def ddto_rollout(
             continue
         control, next_state, c_k = step_result
         state[-1] = c_k
-        records.append(StepRecord(k, state.copy(), control, c_k))
+        records.append(StepRecord(k, state.copy(), control))
         if not records[:-1]:
             total_cost = c_k
         state = next_state

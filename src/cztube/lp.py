@@ -18,11 +18,17 @@ it has not checked against the program's own data:
   missing or fails the check, is NUMERICAL_FAILURE after one retry
   with the other HiGHS algorithm.  Callers that cannot proceed raise
   ``LpError``.
+
+Simplex can start from a given basis (``LpBasis``; an optimal simplex
+run reports its own).  The checks above apply unchanged to a warm run,
+and its retry runs cold.  Callers pass only canonical bases, which
+depend on the program's fixed data and never on an earlier query, so
+answers do not depend on the order of queries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -31,10 +37,13 @@ import scipy.sparse as sp
 from scipy.optimize._highspy import _core as highs
 
 FEAS_TOL = 1e-8
-GAP_TOL = 1e-8
 # Relative error allowed in a Farkas ray, HiGHS's dual feasibility
 # tolerance: see farkas_certifies.
 RAY_TOL = 1e-9
+# Constraint-matrix entries below this magnitude are dropped by HiGHS
+# (its small_matrix_value, set explicitly below): a coefficient this
+# small is not part of the program the solver runs.
+SMALL_MATRIX_VALUE = 1e-9
 
 _SIMPLEX_OPTIONS = {"solver": "simplex", "presolve": "off"}
 _IPM_OPTIONS = {"solver": "ipm"}
@@ -42,10 +51,17 @@ _COMMON_OPTIONS = {
     "output_flag": False,
     "primal_feasibility_tolerance": 1e-9,
     "dual_feasibility_tolerance": 1e-9,
+    "small_matrix_value": SMALL_MATRIX_VALUE,
     "simplex_strategy": 1,  # dual simplex
 }
 _METHODS = {"highs": _SIMPLEX_OPTIONS, "highs-ds": _SIMPLEX_OPTIONS, "highs-ipm": _IPM_OPTIONS}
 _INFEASIBLE = (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kUnboundedOrInfeasible)
+_COLWISE = int(highs.MatrixFormat.kColwise)
+_MINIMIZE = int(highs.ObjSense.kMinimize)
+
+
+BASIC = highs.HighsBasisStatus.kBasic
+NONBASIC = highs.HighsBasisStatus.kLower
 
 
 class LpStatus(Enum):
@@ -107,7 +123,11 @@ class LinearProgram:
     def rows(self):
         """Rows as the solver sees them: row_lo <= A x <= row_hi with
         A = [H; E] in CSC form."""
-        A = sp.vstack([self.H, self.E], format="csc")
+        if self.H.shape[0] == 0:
+            A = self.E.tocsc()
+            A.sum_duplicates()  # as the vstack below does; HiGHS rejects duplicates
+        else:
+            A = sp.vstack([self.H, self.E], format="csc")
         row_lo = np.concatenate([np.full(self.g.size, -np.inf), self.f])
         row_hi = np.concatenate([self.g, self.f])
         return A, row_lo, row_hi
@@ -115,6 +135,22 @@ class LinearProgram:
     def row_scale(self) -> np.ndarray:
         """Residual scale of each row of ``rows()``."""
         return np.concatenate([_row_scale(self.H, self.g), _row_scale(self.E, self.f)])
+
+
+@dataclass(frozen=True)
+class LpBasis:
+    """A simplex basis of a LinearProgram: one HiGHS basis status per
+    column and one per row of ``LinearProgram.rows()``.
+
+    A basis has as many ``BASIC`` entries as the program has rows; every
+    other entry is nonbasic at a bound.  ``NONBASIC`` (at the lower
+    bound) is the status to give a fixed column or an equality row when
+    extending a basis: HiGHS reads any nonbasic status of a fixed
+    variable as "at its value".
+    """
+
+    cols: tuple
+    rows: tuple
 
 
 @dataclass
@@ -130,6 +166,16 @@ class LpSolution:
     ineq_duals: Optional[np.ndarray] = None
     lower_duals: Optional[np.ndarray] = None
     upper_duals: Optional[np.ndarray] = None
+    highs_basis: Optional[object] = field(default=None, repr=False)
+
+    @property
+    def basis(self) -> Optional[LpBasis]:
+        """The optimal basis of a simplex run, None after any other run.
+        Read from HiGHS's ``getBasis()`` only when asked for, since
+        converting it costs about as much as a small solve."""
+        if self.highs_basis is None:
+            return None
+        return LpBasis(tuple(self.highs_basis.col_status), tuple(self.highs_basis.row_status))
 
 
 def _row_scale(M, rhs):
@@ -211,7 +257,7 @@ def single_row_certifies(prob: LinearProgram) -> bool:
     row_hi_i] by more than FEAS_TOL * row_scale_i.  It covers what the
     solver rejects before it runs simplex and so without a ray, such as a
     row left empty once HiGHS drops its entries below
-    ``small_matrix_value`` (1e-9).
+    SMALL_MATRIX_VALUE.
     """
     A, row_lo, row_hi = prob.rows()
     A = A.tocsr()
@@ -239,39 +285,48 @@ class HighsRun:
     row_dual: Optional[np.ndarray] = None
     col_dual: Optional[np.ndarray] = None
     ray: Optional[np.ndarray] = None
+    basis: Optional[object] = None
 
 
-def linprog(prob: LinearProgram, method: str = "highs") -> HighsRun:
+def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis] = None) -> HighsRun:
     """One HiGHS run on prob; the only place the solver is called.
 
     "highs" and "highs-ds" run dual simplex with presolve off, so an
     infeasibility verdict comes with the simplex's own dual ray at no
-    extra cost.  "highs-ipm" runs the interior-point method (presolve and
-    crossover at their defaults); it yields no ray.  The name is the one
-    the benchmark's tracer (bench/tracing.py) times as the backend call.
+    extra cost, and an optimal run reports its basis.  A given ``basis``
+    is the simplex's starting basis (HiGHS ``setBasis``); a basis that is
+    dual feasible for prob leaves dual simplex only the primal
+    infeasibilities to repair.  "highs-ipm" runs the interior-point
+    method (presolve and crossover at their defaults); it ignores
+    ``basis`` and yields no ray.  The name is the one the benchmark's
+    tracer (bench/tracing.py) times as the backend call.
     """
     A, row_lo, row_hi = prob.rows()
-    model = highs.HighsLp()
-    model.num_col_ = prob.n_vars
-    model.num_row_ = A.shape[0]
-    model.col_cost_ = prob.c_obj
-    model.col_lower_ = prob.lb
-    model.col_upper_ = prob.ub
-    model.row_lower_ = row_lo
-    model.row_upper_ = row_hi
-    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    model.a_matrix_.num_col_ = prob.n_vars
-    model.a_matrix_.num_row_ = A.shape[0]
-    model.a_matrix_.start_ = A.indptr
-    model.a_matrix_.index_ = A.indices
-    model.a_matrix_.value_ = A.data
-
     solver = highs._Highs()
     for key, value in {**_COMMON_OPTIONS, **_METHODS[method]}.items():
         if solver.setOptionValue(key, value) != highs.HighsStatus.kOk:
             raise ValueError(f"HiGHS rejected option {key}={value!r}")
-    if solver.passModel(model) == highs.HighsStatus.kError:
+    # the array overload of passModel takes the numpy buffers as they
+    # are; filling a HighsLp field by field copies them element by element
+    passed = solver.passModel(
+        prob.n_vars, A.shape[0], A.nnz, _COLWISE, _MINIMIZE, 0.0,
+        prob.c_obj, prob.lb, prob.ub, row_lo, row_hi,
+        A.indptr.astype(np.int32, copy=False), A.indices.astype(np.int32, copy=False), A.data,
+        np.zeros(prob.n_vars, dtype=np.int32),  # every column continuous
+    )
+    if passed == highs.HighsStatus.kError:
         return HighsRun(highs.HighsModelStatus.kModelError, 0)
+    simplex = method != "highs-ipm"
+    if basis is not None and simplex:
+        if len(basis.cols) != prob.n_vars or len(basis.rows) != A.shape[0]:
+            raise ValueError("starting basis does not match the program's shape")
+        start = highs.HighsBasis()
+        start.col_status = list(basis.cols)
+        start.row_status = list(basis.rows)
+        start.valid = True
+        start.alien = False
+        if solver.setBasis(start) == highs.HighsStatus.kError:
+            return HighsRun(highs.HighsModelStatus.kModelError, 0)
     solver.run()
     status = solver.getModelStatus()
     info = solver.getInfo()
@@ -281,20 +336,30 @@ def linprog(prob: LinearProgram, method: str = "highs") -> HighsRun:
         run.x = np.array(sol.col_value, dtype=float)
         run.row_dual = np.array(sol.row_dual, dtype=float)
         run.col_dual = np.array(sol.col_dual, dtype=float)
-    elif status in _INFEASIBLE and method != "highs-ipm":
+        if simplex:
+            run.basis = solver.getBasis()
+    elif status in _INFEASIBLE and simplex:
         _, has_ray, ray = solver.getDualRay()
         if has_ray:
             run.ray = np.array(ray, dtype=float)
     return run
 
 
-def solve_lp(prob: LinearProgram, method: str = "highs") -> LpSolution:
+def solve_lp(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis] = None) -> LpSolution:
     """Solve an LP, classifying the outcome.
 
     method selects the HiGHS algorithm: "highs" and "highs-ds" run dual
     simplex without presolve; "highs-ipm" forces the interior-point path,
     which is much faster on the large sparse programs built by the
     set-erosion routine.
+
+    basis warm-starts simplex (IPM ignores it).  Callers pass only
+    canonical bases: the optimal basis of a fixed reference program that
+    depends on nothing but the caller's data (a set, a direction, a
+    control set and dynamics), never the basis of a previous query, so an
+    answer does not depend on the order of the queries before it.  A
+    warm start changes how the solver gets to its verdict, not how the
+    verdict is checked.
 
     The contract on the result:
 
@@ -308,19 +373,20 @@ def solve_lp(prob: LinearProgram, method: str = "highs") -> LpSolution:
       presolve-free simplex to obtain one.
     * Anything else is NUMERICAL_FAILURE, reached only after one
       deterministic retry with the alternate algorithm (simplex <->
-      interior point), since degenerate boundary problems occasionally
-      defeat one algorithm but not the other.
+      interior point), run cold, since degenerate boundary problems
+      occasionally defeat one algorithm but not the other.
 
-    UNBOUNDED is passed on from the solver unchecked.
+    UNBOUNDED is passed on from the solver unchecked.  An optimal simplex
+    run carries its basis in ``LpSolution.basis``.
     """
-    sol = _solve_once(prob, method)
+    sol = _solve_once(prob, method, basis)
     if sol.status == LpStatus.NUMERICAL_FAILURE:
         fallback = "highs-ds" if method == "highs-ipm" else "highs-ipm"
         sol = _solve_once(prob, fallback)
     return sol
 
 
-def _solve_once(prob: LinearProgram, method: str) -> LpSolution:
+def _solve_once(prob: LinearProgram, method: str, basis: Optional[LpBasis] = None) -> LpSolution:
     n = prob.n_vars
     if n == 0:
         feasible = (prob.f.size == 0 or np.all(np.abs(prob.f) <= FEAS_TOL)) and (
@@ -332,7 +398,8 @@ def _solve_once(prob: LinearProgram, method: str) -> LpSolution:
     if np.any(prob.lb > prob.ub):
         return LpSolution(LpStatus.INFEASIBLE)
 
-    run = linprog(prob, method)
+    # a cold run keeps the two-argument backend call that test doubles take
+    run = linprog(prob, method) if basis is None else linprog(prob, method, basis)
     if run.status in _INFEASIBLE and method == "highs-ipm":
         run = linprog(prob, "highs-ds")
     if run.status in _INFEASIBLE:
@@ -357,6 +424,7 @@ def _solve_once(prob: LinearProgram, method: str) -> LpSolution:
         run.row_dual[:n_ub],
         np.maximum(run.col_dual, 0.0),
         np.minimum(run.col_dual, 0.0),
+        run.basis,
     )
 
 

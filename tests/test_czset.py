@@ -1,18 +1,21 @@
 """Tests for the constrained-zonotope algebra."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from cztube import czset
+from cztube import czset, lp
 from cztube.czset import (
     ConstrainedZonotope,
     EmptySetError,
     Halfspace,
     NotFullDimensionalError,
 )
-from cztube.lp import LpError, LpSolution, LpStatus
+from cztube.lp import SMALL_MATRIX_VALUE, LpError, LpSolution, LpStatus
 
 CZ = ConstrainedZonotope
 
@@ -191,6 +194,111 @@ def test_slice_with_tolerance_band():
     z = CZ.from_box([-1.0, -1.0], [1.0, 1.0])
     s = z.slice([0], [1.0 + 5e-7], tol=1e-6)
     assert not s.is_empty()
+
+
+def test_slice_band_below_solver_resolution_is_exact():
+    # a band the LP solver would drop is not built: the slice is exact
+    z = random_cz(np.random.default_rng(31))
+    point = z.extreme_point(np.array([1.0, 0.5, -0.2]))
+    exact = z.slice([0, 2], point[[0, 2]])
+    for tol in (1e-12, SMALL_MATRIX_VALUE / 2):
+        thin = z.slice([0, 2], point[[0, 2]], tol=tol)
+        assert thin.n_generators == z.n_generators == exact.n_generators
+        assert thin.n_constraints == z.n_constraints + 2
+        eta = np.array([0.3, -1.0, 0.4])
+        assert thin.support(eta) == exact.support(eta)
+    banded = z.slice([0, 2], point[[0, 2]], tol=SMALL_MATRIX_VALUE)
+    assert banded.n_generators == z.n_generators + 2
+
+
+def _cold_copy(z):
+    """The same set with no slice origin and no memoized bases."""
+    return CZ(z.G, z.c, z.A, z.b)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-6])
+def test_slice_support_warm_matches_cold(monkeypatch, tol):
+    # slices of one parent at random points, some outside it, queried in
+    # random directions: the warm-started support equals a cold solve, and
+    # an empty slice still ends in EmptySetError through a checked ray
+    warm_calls = []
+    backend = lp.linprog
+
+    def spy(prob, method="highs", basis=None):
+        warm_calls.append(basis is not None)
+        return backend(prob, method, basis)
+
+    monkeypatch.setattr(lp, "linprog", spy)
+    rng = np.random.default_rng(32)
+    outcomes = set()
+    for _ in range(4):
+        z = random_cz(rng, dim=4, n_g=10, n_e=3)
+        lo, hi = z.interval_hull()
+        etas = [rng.normal(size=4) for _ in range(3)]
+        for _ in range(6):
+            pin = rng.uniform(lo[:2] - 0.3 * (hi[:2] - lo[:2]), hi[:2] + 0.3 * (hi[:2] - lo[:2]))
+            sliced = z.slice([0, 1], pin, tol=tol)
+            for eta in etas:
+                try:
+                    warm = sliced.support(eta)
+                except EmptySetError:
+                    with pytest.raises(EmptySetError):
+                        _cold_copy(sliced).support(eta)
+                    outcomes.add("empty")
+                    continue
+                cold = _cold_copy(sliced).support(eta)
+                assert abs(warm - cold) <= 1e-9 * max(1.0, abs(cold))
+                outcomes.add("nonempty")
+    assert outcomes == {"empty", "nonempty"}
+    assert any(warm_calls)
+
+
+def test_slice_support_is_independent_of_query_history():
+    # querying slice A first leaves the answer for slice B bitwise as it
+    # is when B is queried alone on a fresh copy of the parent
+    rng = np.random.default_rng(33)
+    z = random_cz(rng, dim=4, n_g=10, n_e=3)
+    eta = np.array([0.0, 0.0, 1.0, -0.5])
+    lo, hi = z.interval_hull()
+    mid = (z.extreme_point(np.array([1.0, 0.3, 0.0, 0.0]))
+           + z.extreme_point(np.array([-1.0, -0.3, 0.0, 0.0]))) / 2.0
+    pin_a, pin_b = mid[:2] + 0.1 * (hi[:2] - lo[:2]), mid[:2] - 0.05 * (hi[:2] - lo[:2])
+    z.slice([0, 1], pin_a, tol=1e-6).support(eta)
+    after_a = z.slice([0, 1], pin_b, tol=1e-6).extreme_point(eta)
+    alone = _cold_copy(z).slice([0, 1], pin_b, tol=1e-6).extreme_point(eta)
+    assert np.array_equal(after_a, alone)
+
+
+def test_memoized_value_is_computed_once_across_threads():
+    # more threads than cores miss on the same key together; a lost
+    # update would run the computation twice or hand out two objects
+    z = CZ.from_box([-1.0, -1.0], [1.0, 1.0])
+    calls = []
+    start = threading.Barrier(8)
+    results = []
+
+    def compute():
+        calls.append(1)
+        time.sleep(0.01)
+        return object()
+
+    def worker():
+        start.wait(timeout=10)
+        results.append(z.cached("key", compute))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1
+    assert len(results) == 8 and all(r is results[0] for r in results)
 
 
 def test_project_box_axis():

@@ -4,6 +4,7 @@ control, rollouts, reachable sets, deferred decisions, and Monte Carlo."""
 import numpy as np
 import pytest
 
+from cztube import guidance, lp
 from cztube.czset import ConstrainedZonotope
 from cztube.guidance import (
     EmptySliceError,
@@ -27,6 +28,7 @@ from cztube.landing import (
     build_terminal_set,
     discretize,
 )
+from cztube.lp import LpStatus
 from cztube.tube import (
     ControllableTube,
     deterministic_recursion,
@@ -206,6 +208,58 @@ def test_rollout_matches_full_horizon_oracle(det_toy):
     assert abs(log.total_cost - cost) <= 1e-9 * max(1.0, abs(cost))
     assert Y.shape == (tube.N - hq.k_star + 1, 8)
     assert Uc.shape == (tube.N - hq.k_star, 4)
+
+
+# -- warm starts -------------------------------------------------------------
+
+
+def _fresh(tube):
+    """The same tube with new set objects, so nothing is memoized on them."""
+    sets = [ConstrainedZonotope(Z.G, Z.c, Z.A, Z.b) for Z in tube.sets]
+    return ControllableTube(sets, tube.dt, tube.kind)
+
+
+def test_one_step_warm_matches_cold_solve(det_toy, monkeypatch):
+    # every warm-started one-step LP of a rollout, solved again cold
+    scn, dyn, X, U, Xf, tube = det_toy
+    warm = []
+    solve = guidance.solve_lp
+
+    def spy(prob, method="highs", basis=None):
+        sol = solve(prob, method, basis)
+        if basis is not None:
+            warm.append((prob, sol))
+        return sol
+
+    monkeypatch.setattr(guidance, "solve_lp", spy)
+    log = forward_rollout(scn.initial_state(), _fresh(tube), U, dyn)
+    assert len(warm) == len(log.records)
+    for prob, sol in warm:
+        cold = lp.solve_lp(prob)
+        assert sol.status == cold.status == LpStatus.OPTIMAL
+        assert abs(sol.objective_value - cold.objective_value) <= 1e-9 * max(
+            1.0, abs(cold.objective_value))
+
+
+def test_scan_and_step_are_independent_of_query_history(det_toy):
+    # queries from state A first leave state B's answers bitwise as they
+    # are when B is queried alone on a fresh copy of the tube
+    scn, dyn, X, U, Xf, tube = det_toy
+    x_a = scn.initial_state()
+    x_b = x_a + np.array([3.0, -2.0, 1.0, 0.2, -0.1, 0.1, 0.0])
+    used = _fresh(tube)
+    forward_rollout(x_a, used, U, dyn)
+    hq_b = optimal_horizon(x_b, used)
+    log_b = forward_rollout(x_b, used, U, dyn, start=hq_b)
+    alone = _fresh(tube)
+    hq_alone = optimal_horizon(x_b, alone)
+    log_alone = forward_rollout(x_b, alone, U, dyn, start=hq_alone)
+    assert hq_b == hq_alone
+    assert len(log_b.records) == len(log_alone.records)
+    for r, q in zip(log_b.records, log_alone.records):
+        assert r.k == q.k
+        assert np.array_equal(r.state, q.state) and np.array_equal(r.control, q.control)
+    assert np.array_equal(log_b.terminal_state, log_alone.terminal_state)
 
 
 def test_oracle_fixed_cost_semantics(det_toy):

@@ -8,9 +8,11 @@ import scipy.sparse as sp
 
 from cztube import lp
 from cztube.lp import (
+    BASIC,
     FEAS_TOL,
     HighsRun,
     LinearProgram,
+    LpBasis,
     LpStatus,
     _feasibility_residual,
     check_feasibility,
@@ -317,3 +319,78 @@ def test_row_dropped_by_the_solver_is_certified_by_inspection():
     assert lp.linprog(prob).ray is None
     assert single_row_certifies(prob)
     assert solve_lp(prob).status == LpStatus.INFEASIBLE
+
+
+# -- warm starts ------------------------------------------------------------
+
+
+def _rhs_family(rng, n=12, m=5):
+    """An equality LP over the unit box and a way to move its rhs."""
+    E = rng.normal(size=(m, n))
+    c = rng.normal(size=n)
+
+    def at(f):
+        return LinearProgram(c, E, f, lb=-np.ones(n), ub=np.ones(n))
+
+    return at, E @ rng.uniform(-0.5, 0.5, size=n)
+
+
+def test_optimal_simplex_run_reports_its_basis():
+    at, f = _rhs_family(np.random.default_rng(21))
+    sol = solve_lp(at(f))
+    basis = sol.basis
+    assert isinstance(basis, LpBasis)
+    assert (len(basis.cols), len(basis.rows)) == (12, 5)
+    assert sum(s == BASIC for s in basis.cols + basis.rows) == 5
+    # interior point reports none and ignores a starting basis
+    ipm = solve_lp(at(f), "highs-ipm", basis=basis)
+    assert ipm.status == LpStatus.OPTIMAL and ipm.basis is None
+    assert abs(ipm.objective_value - sol.objective_value) <= 1e-7
+
+
+def test_warm_start_matches_cold_solve():
+    # the optimal basis of one rhs stays dual feasible for every other
+    # rhs; warm and cold agree on the verdict and the optimum, and a warm
+    # infeasible verdict still carries a checked ray
+    rng = np.random.default_rng(22)
+    seen = set()
+    for _ in range(10):
+        at, f0 = _rhs_family(rng)
+        basis = solve_lp(at(f0)).basis
+        for scale in (0.1, 1.0, 30.0):
+            prob = at(f0 + scale * rng.normal(size=f0.size))
+            cold = solve_lp(prob)
+            warm = solve_lp(prob, basis=basis)
+            assert warm.status == cold.status
+            seen.add(cold.status)
+            if cold.status == LpStatus.OPTIMAL:
+                assert abs(warm.objective_value - cold.objective_value) <= 1e-9 * max(
+                    1.0, abs(cold.objective_value))
+                assert _feasibility_residual(prob, warm.x_opt) <= FEAS_TOL
+    assert seen == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+
+
+def test_basis_of_the_wrong_shape_is_rejected():
+    at, f = _rhs_family(np.random.default_rng(24))
+    basis = solve_lp(at(f)).basis
+    with pytest.raises(ValueError):
+        solve_lp(at(f), basis=LpBasis(basis.cols[:-1], basis.rows))
+
+
+def test_failure_with_a_basis_is_retried_cold(monkeypatch):
+    # the warm run fails; the retry runs the other algorithm with no basis
+    at, f = _rhs_family(np.random.default_rng(25))
+    basis = solve_lp(at(f)).basis
+    calls = []
+    honest = lp.linprog
+
+    def flaky_backend(prob, method="highs", basis=None):
+        calls.append((method, basis))
+        if len(calls) == 1:
+            return HighsRun(lp.highs.HighsModelStatus.kSolveError, 0)
+        return honest(prob, method, basis)
+
+    monkeypatch.setattr(lp, "linprog", flaky_backend)
+    sol = solve_lp(at(f), basis=basis)
+    assert sol.status == LpStatus.OPTIMAL
+    assert calls == [("highs", basis), ("highs-ipm", None)]
