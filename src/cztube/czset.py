@@ -46,6 +46,11 @@ class NotFullDimensionalError(Exception):
     """Operation requires a full-dimensional set."""
 
 
+def _basis_key(eta):
+    # + 0.0 turns -0.0 into 0.0, so equal directions share a key
+    return ("support_basis", (eta + 0.0).tobytes())
+
+
 def _csr(M, shape=None):
     if sp.issparse(M):
         return M.tocsr()
@@ -107,7 +112,8 @@ class ConstrainedZonotope:
         if n_g:
             used = np.abs(G).max(axis=0) > 0
             if A.shape[0]:
-                used |= np.bincount(A.indices, minlength=n_g) > 0
+                col_nnz = np.diff(A.tocsc().indptr)
+                used |= col_nnz > 0
             if not used.all():
                 keep = np.flatnonzero(used)
                 G = G[:, keep]
@@ -254,11 +260,9 @@ class ConstrainedZonotope:
         if not banded:
             out = self.intersect_affine(E, values)
         else:
-            n_e, n_g = self.A.shape
             G = np.hstack([self.G, np.zeros((self.dim, m))])
-            rows = sp.hstack([sp.csr_matrix(E @ self.G), -tol * sp.eye(m, format="csr")], format="csr")
-            # the parent's rows, widened by the m band columns
-            A = sp.csr_matrix((self.A.data, self.A.indices, self.A.indptr), shape=(n_e, n_g + m))
+            rows = sp.hstack([sp.csr_matrix(E @ self.G), -tol * sp.eye(m, format="csr")])
+            A = sp.bmat([[self.A, None], [None, sp.csr_matrix((0, m))]], format="csr")
             A = sp.vstack([A, rows], format="csr")
             b = np.concatenate([self.b, values - E @ self.c])
             out = ConstrainedZonotope(G, self.c, A, b)
@@ -267,8 +271,8 @@ class ConstrainedZonotope:
 
     def _slice_basis(self, eta):
         """Starting basis for this slice's support LP in direction eta,
-        or None when this set is no slice or its parent's support LP has
-        no optimal basis.
+        or None when this set is no slice or its parent carries no
+        support basis in direction eta (``support_basis``).
 
         The slice's support LP is the parent's plus the pin rows (and
         band columns, whose cost is zero).  The parent's optimal basis,
@@ -277,13 +281,13 @@ class ConstrainedZonotope:
         dual weight and leaves every other dual and reduced cost as it
         was.  It is therefore dual feasible whatever values are pinned,
         and dual simplex only repairs the pinned rows.  The parent's
-        basis is canonical (``_support_basis``), so the answer does not
-        depend on which slices were queried before.
+        basis is canonical and the query only reads it, so the answer
+        does not depend on which slices were queried before.
         """
         if self._slice_of is None:
             return None
         parent, m, banded = self._slice_of
-        base = parent._support_basis(eta)
+        base = parent.support_basis(eta, compute=False)
         if base is None:
             return None
         if banded:
@@ -330,7 +334,14 @@ class ConstrainedZonotope:
             c_obj, E=self.A, f=self.b, lb=-np.ones(n_g), ub=np.ones(n_g)
         )
 
-    def is_empty(self) -> bool:
+    def is_empty(self, eta=None) -> bool:
+        """True iff the set is empty.  A feasibility LP decides it, or,
+        when eta is given, the support LP in direction eta, whose solve
+        also leaves the set's canonical basis in direction eta memoized
+        (``support_basis``)."""
+        if eta is not None:
+            self.support_basis(eta)
+
         def solve():
             sol = check_feasibility(self._latent_lp(np.zeros(self.n_generators)))
             if sol.status == LpStatus.NUMERICAL_FAILURE:
@@ -342,27 +353,49 @@ class ConstrainedZonotope:
     def _support_lp(self, eta) -> LinearProgram:
         return self._latent_lp(-(self.G.T @ eta))
 
-    def _support_basis(self, eta):
-        """Canonical optimal basis of the support LP in direction eta: the
-        basis of a cold solve, memoized on the set; None when that LP has
-        no variables or no optimum."""
+    def support_basis(self, eta, compute: bool = True):
+        """Canonical optimal basis of the support LP in direction eta, or
+        None when that LP has no variables or no optimum.
+
+        The basis is the one a cold solve ends on, memoized on the set,
+        so it depends on nothing but the set and eta.  Queries ask with
+        compute=False, which only reads the memo: they never pay for the
+        cold solve.  The code that makes a set for repeated queries (the
+        tube recursions, ``tube.deserialize_tube``) computes the basis,
+        through ``is_empty(eta)``, or restores it
+        (``attach_support_basis``).  The solve's verdict also settles
+        ``is_empty``.
+        """
+        eta = np.asarray(eta, dtype=float).ravel()
+        key = _basis_key(eta)
+        if not compute:
+            return self._cache.get(key)
 
         def solve():
             if self.n_generators == 0:
                 return None
             sol = solve_lp(self._support_lp(eta))
+            if sol.status in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE):
+                self._cache.setdefault("empty", sol.status == LpStatus.INFEASIBLE)
             return sol.basis if sol.status == LpStatus.OPTIMAL else None
 
-        return self.cached(("support_basis", eta.tobytes()), solve)
+        return self.cached(key, solve)
+
+    def attach_support_basis(self, eta, basis: LpBasis) -> None:
+        """Memoize a basis that ``support_basis(eta)`` computed for an
+        equal set, such as one read back from a tube file.  An optimal
+        basis exists only for a nonempty set, which settles ``is_empty``."""
+        if (len(basis.cols), len(basis.rows)) != (self.n_generators, self.n_constraints):
+            raise ValueError("basis does not match the set's support LP")
+        self.cached(_basis_key(np.asarray(eta, dtype=float).ravel()), lambda: basis)
+        self._cache.setdefault("empty", False)
 
     def _support_solution(self, eta):
         eta = np.asarray(eta, dtype=float).ravel()
         if eta.size != self.dim:
             raise ValueError("direction dimension mismatch")
         prob = self._support_lp(eta)
-        basis = self._slice_basis(eta)
-        # a cold solve keeps the two-argument solve_lp call that test doubles take
-        sol = solve_lp(prob) if basis is None else solve_lp(prob, basis=basis)
+        sol = solve_lp(prob, basis=self._slice_basis(eta))
         if sol.status == LpStatus.INFEASIBLE:
             raise EmptySetError("support query on an empty set")
         if sol.status != LpStatus.OPTIMAL:

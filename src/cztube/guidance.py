@@ -11,11 +11,14 @@ Monte Carlo harness for the robust configuration.
 
 The horizon scan and the one-step LPs are warm-started.  Across queries
 each of these LPs keeps its matrix and objective, and only the pinned
-physical state changes, so dual simplex starts from the optimal basis of
-the same LP with the state left free.  That basis is canonical: it is
-computed once per tube set (and direction, or control set and dynamics)
-and memoized on the set, never taken from a previous query, so every
-answer is independent of the order of the queries before it.
+physical state changes, so dual simplex starts from an optimal basis of
+the same LP with the state left free.  That basis is assembled from the
+canonical min-cost basis that every tube set carries from the build or
+the tube file (``tube.attach_cost_basis``); a query only reads it, never
+computes it, and never takes a basis from a previous query, so every
+answer is independent of the order of the queries before it.  Sets made
+online, such as the effective sets of ``ddto_rollout``, carry no basis
+and are queried cold.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ import scipy.sparse as sp
 
 from .czset import ConstrainedZonotope, EmptySetError
 from .landing import CONTROL_DIM, STATE_DIM, DiscreteDynamics, LandingScenario
-from .lp import LinearProgram, LpBasis, LpError, LpStatus, solve_lp
-from .tube import ControllableTube
+from .lp import BASIC, NONBASIC, LinearProgram, LpBasis, LpError, LpStatus, solve_lp
+from .tube import ControllableTube, min_cost_direction
 from .uncertainty import DisturbanceSchedule, UncertaintyModel
 
 SLICE_TOL = 1e-6
@@ -92,12 +95,10 @@ def _min_cost_at_state(cs: ConstrainedZonotope, x_i: np.ndarray, tol: float = SL
     or None when the state is not contained.
 
     The support query on the slice warm-starts from CS's canonical
-    min-cost basis, computed on the first query and memoized on CS."""
+    min-cost basis when CS carries one."""
     sliced = cs.slice(np.arange(STATE_DIM - 1), x_i, tol=tol)
-    e_c = np.zeros(STATE_DIM)
-    e_c[-1] = -1.0
     try:
-        return -sliced.support(e_c)
+        return -sliced.support(min_cost_direction(STATE_DIM))
     except EmptySetError:
         return None
 
@@ -134,10 +135,26 @@ def optimal_horizon(x_i, tube: ControllableTube, tol: float = SLICE_TOL) -> Hori
 # -- one-step optimal control ---------------------------------------------
 
 
+def _cost_weights(dyn: DiscreteDynamics) -> np.ndarray:
+    """w = A^-T e_c: with the state free, the cost-to-go c_k that the
+    dynamics rows leave is w'(next state - B u - d)."""
+    e_c = np.zeros(STATE_DIM)
+    e_c[-1] = 1.0
+    return np.linalg.solve(dyn.A.T, e_c)
+
+
 @dataclass
 class _OneStepModel:
     """The one-step LP into one tube set for one control set and dynamics,
-    with the physical state as free columns, and its canonical basis.
+    with the physical state as free columns.
+
+    With the state free, the 8 state columns meet the 8 dynamics rows
+    whatever the latents are, so the LP splits into two support LPs:
+    the next set's in direction -w and the control set's in direction
+    B'w (w from ``_cost_weights``).  Their canonical optimal bases, with
+    the state columns basic and the dynamics rows nonbasic, form an
+    optimal basis of the whole LP, with dual weights w on the dynamics
+    rows; it is dual feasible for every pinned state (``basis``).
 
     The control set and dynamics are held so that the ids keying the
     model on the tube set stay theirs."""
@@ -145,7 +162,22 @@ class _OneStepModel:
     control_set: ConstrainedZonotope
     dyn: DiscreteDynamics
     prob: LinearProgram
-    basis: Optional[LpBasis]
+    w: np.ndarray
+
+    def basis(self, cs_next: ConstrainedZonotope) -> Optional[LpBasis]:
+        """The starting basis, or None when cs_next carries no basis in
+        direction -w.  The control set's basis is a small solve, done on
+        first use and memoized on the control set."""
+        b_next = cs_next.support_basis(-self.w, compute=False)
+        if b_next is None:
+            return None
+        b_u = self.control_set.support_basis(self.dyn.B.T @ self.w)
+        if b_u is None:
+            return None
+        return LpBasis(
+            b_u.cols + b_next.cols + (BASIC,) * STATE_DIM,
+            (NONBASIC,) * STATE_DIM + b_u.rows + b_next.rows,
+        )
 
 
 def _one_step_model(cs_next, control_set, dyn) -> _OneStepModel:
@@ -183,9 +215,7 @@ def _one_step_model(cs_next, control_set, dyn) -> _OneStepModel:
     lb = np.concatenate([-np.ones(n_u + n_n), np.full(1 + n_x, -np.inf)])
     ub = np.concatenate([np.ones(n_u + n_n), np.full(1 + n_x, np.inf)])
     prob = LinearProgram(c_obj, E, f, lb=lb, ub=ub)
-    sol = solve_lp(prob)
-    basis = sol.basis if sol.status == LpStatus.OPTIMAL else None
-    return _OneStepModel(control_set, dyn, prob, basis)
+    return _OneStepModel(control_set, dyn, prob, _cost_weights(dyn))
 
 
 def one_step_ocp(
@@ -199,10 +229,11 @@ def one_step_ocp(
     Variables are the control-set latents, the next-set latents, the
     current cost-to-go c_k and the physical part of the current state,
     fixed by its bounds (lb = ub = x), so the LP's matrix and objective
-    do not depend on the state.  The same LP with the state free is
-    solved once per (cs_next, control_set, dyn) and memoized on cs_next;
-    its optimal basis is dual feasible for every state and warm-starts
-    each query.  Returns (control, next_state, c_k).
+    do not depend on the state; it is built once per (cs_next,
+    control_set, dyn) and memoized on cs_next.  When cs_next carries its
+    canonical basis, an optimal basis of the same LP with the state free
+    is assembled from it; that basis is dual feasible for every state and
+    warm-starts the query.  Returns (control, next_state, c_k).
     """
     x_k = np.asarray(x_k, dtype=float).ravel()
     x_phys = x_k[: STATE_DIM - 1]
@@ -217,7 +248,7 @@ def one_step_ocp(
     ub = canon.ub.copy()
     lb[i_c + 1 :] = ub[i_c + 1 :] = x_phys
     prob = LinearProgram(canon.c_obj, canon.E, canon.f, lb=lb, ub=ub)
-    sol = solve_lp(prob, basis=model.basis)
+    sol = solve_lp(prob, basis=model.basis(cs_next))
     if sol.status == LpStatus.INFEASIBLE:
         raise InfeasibleError("one-step control problem is infeasible from this state")
     if sol.status != LpStatus.OPTIMAL:
@@ -453,7 +484,9 @@ def ddto_rollout(
     """
     x_i = np.asarray(x_i, dtype=float).ravel()
     delta = _embed_offset(backup_offset)
-    # built once, so re-queries in the loop reuse each set's memoized bases
+    # made once per call; they carry no canonical basis, so their queries
+    # run cold: a call queries each at most a few times, too few to repay
+    # the cold solve that computing one costs
     eff = [effective_tube_set(tube, k, delta) for k in range(1, tube.N + 1)]
     hq = _horizon_scan(eff, x_i, SLICE_TOL, "initial state is outside the effective tube")
     k_start, c_star = hq.k_star, hq.c_star
@@ -551,6 +584,9 @@ def monte_carlo(
     eroded may carry the per-step disturbance-eroded targets captured
     during the tube build (eroded[k] inner-approximates the tube's step
     k+1 set minus the step-k disturbance); missing entries are computed.
+    Every trial steers into every target, so each target is checked for
+    emptiness once before the trials, in the one-step LP's cost
+    direction, which leaves its canonical basis memoized if it had none.
     """
     N = tube.N
     eroded = dict(eroded) if eroded else {}
@@ -558,6 +594,9 @@ def monte_carlo(
         if k not in eroded:
             nxt = tube.cs(k + 1).minrow_normalize()
             eroded[k] = nxt.pontryagin_difference(schedule.outer_zonotopes[k - 1])
+    target_direction = -_cost_weights(dyn)
+    for target in eroded.values():
+        target.is_empty(target_direction)
 
     def run_trial(t: int) -> TrialResult:
         rng = np.random.default_rng([master_seed, t])

@@ -62,6 +62,9 @@ _MINIMIZE = int(highs.ObjSense.kMinimize)
 
 BASIC = highs.HighsBasisStatus.kBasic
 NONBASIC = highs.HighsBasisStatus.kLower
+# basis statuses by integer code, and back
+_STATUSES = sorted(highs.HighsBasisStatus.__members__.values(), key=int)
+_CODE_OF = {s: int(s) for s in _STATUSES}
 
 
 class LpStatus(Enum):
@@ -123,11 +126,7 @@ class LinearProgram:
     def rows(self):
         """Rows as the solver sees them: row_lo <= A x <= row_hi with
         A = [H; E] in CSC form."""
-        if self.H.shape[0] == 0:
-            A = self.E.tocsc()
-            A.sum_duplicates()  # as the vstack below does; HiGHS rejects duplicates
-        else:
-            A = sp.vstack([self.H, self.E], format="csc")
+        A = sp.vstack([self.H, self.E], format="csc")
         row_lo = np.concatenate([np.full(self.g.size, -np.inf), self.f])
         row_hi = np.concatenate([self.g, self.f])
         return A, row_lo, row_hi
@@ -151,6 +150,22 @@ class LpBasis:
 
     cols: tuple
     rows: tuple
+
+    def codes(self) -> np.ndarray:
+        """The statuses as HiGHS's integer codes, columns then rows."""
+        return np.array([_CODE_OF[s] for s in self.cols + self.rows], dtype=np.uint8)
+
+    @staticmethod
+    def from_codes(codes, n_cols: int) -> "LpBasis":
+        """Inverse of ``codes``; ValueError unless every code is a HiGHS
+        basis status and one entry per row is basic."""
+        codes = np.asarray(codes).ravel()
+        if codes.size < n_cols or np.any(codes >= len(_STATUSES)):
+            raise ValueError("not a basis: unknown status codes")
+        if np.count_nonzero(codes == _CODE_OF[BASIC]) != codes.size - n_cols:
+            raise ValueError("not a basis: it needs one basic entry per row")
+        statuses = [_STATUSES[v] for v in codes.tolist()]
+        return LpBasis(tuple(statuses[:n_cols]), tuple(statuses[n_cols:]))
 
 
 @dataclass
@@ -398,8 +413,7 @@ def _solve_once(prob: LinearProgram, method: str, basis: Optional[LpBasis] = Non
     if np.any(prob.lb > prob.ub):
         return LpSolution(LpStatus.INFEASIBLE)
 
-    # a cold run keeps the two-argument backend call that test doubles take
-    run = linprog(prob, method) if basis is None else linprog(prob, method, basis)
+    run = linprog(prob, method, basis)
     if run.status in _INFEASIBLE and method == "highs-ipm":
         run = linprog(prob, "highs-ds")
     if run.status in _INFEASIBLE:

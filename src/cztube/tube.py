@@ -6,6 +6,12 @@ honoring the path and control constraints.  The backward recursion
 CS_k = X ∩ A^-1(CS_{k+1} ⊕ (-B U - d)) builds the whole tube offline;
 the robust variant additionally erodes each set by the step's bounded
 disturbance before stepping backward.
+
+Each set is made with its canonical min-cost basis (``attach_cost_basis``),
+the optimal basis of its support LP in the direction of least cost-to-go,
+and the tube file stores it.  The online queries warm-start from these
+bases (see ``cztube.guidance``) and never compute one themselves, so a
+process that loads a tube and lands once gets the warm starts too.
 """
 
 from __future__ import annotations
@@ -28,10 +34,11 @@ from .landing import (
     build_terminal_set,
     discretize,
 )
+from .lp import LpBasis
 from .uncertainty import DisturbanceSchedule
 
 TUBE_MAGIC = b"CZTB"
-TUBE_VERSION = 1
+TUBE_VERSION = 2  # 1: the same without the per-set basis block
 _KINDS = ("deterministic", "robust")
 
 
@@ -69,6 +76,24 @@ class ControllableTube:
         if not 1 <= k <= self.N:
             raise IndexError(f"step {k} outside 1..{self.N}")
         return self.sets[k - 1]
+
+
+def min_cost_direction(dim: int) -> np.ndarray:
+    """Support direction of least cost-to-go, the last coordinate of the
+    augmented state: the support LP in it minimizes the cost."""
+    eta = np.zeros(dim)
+    eta[-1] = -1.0
+    return eta
+
+
+def attach_cost_basis(Z: ConstrainedZonotope) -> ConstrainedZonotope:
+    """Z, with its canonical min-cost basis computed and memoized.
+
+    The basis comes from the emptiness check: ``Z.is_empty`` settled by
+    the support LP in the min-cost direction, which costs less than the
+    zero-objective feasibility LP that settles it otherwise."""
+    Z.is_empty(min_cost_direction(Z.dim))
+    return Z
 
 
 def scenario_digest(scn: LandingScenario, **extra) -> bytes:
@@ -110,12 +135,12 @@ def deterministic_recursion(
     The cost-to-go coordinate is bounded and strictly depleting, so the
     recursion terminates on its own; max_N only guards misconfiguration.
     """
-    if terminal_set.is_empty():
+    if attach_cost_basis(terminal_set).is_empty():
         raise ValueError("terminal set is empty")
     sets = [terminal_set]
     while len(sets) < max_N:
         t0 = time.perf_counter()
-        nxt = backward_step(dyn, state_set, control_set, sets[-1])
+        nxt = attach_cost_basis(backward_step(dyn, state_set, control_set, sets[-1]))
         if nxt.is_empty():
             break
         sets.append(nxt)
@@ -147,19 +172,21 @@ def robust_recursion(
     cs = terminal_set_fulldim.minrow_normalize().pontryagin_difference(
         schedule.outer_zonotopes[N - 1]
     )
-    cs = cs.minrow_normalize()
+    cs = attach_cost_basis(cs.minrow_normalize())
     if cs.is_empty():
         raise RobustInfeasibleError(N)
     sets = [cs]
     for k in range(N - 1, 0, -1):
         t0 = time.perf_counter()
         eroded = sets[-1].pontryagin_difference(schedule.outer_zonotopes[k - 1])
-        eroded = eroded.minrow_normalize()
+        eroded = attach_cost_basis(eroded.minrow_normalize())
         if eroded.is_empty():
             raise RobustInfeasibleError(k)
         if eroded_sink is not None:
             eroded_sink[k] = eroded
-        nxt = backward_step(dyn_worst_case, state_set, control_set_robust, eroded)
+        nxt = attach_cost_basis(
+            backward_step(dyn_worst_case, state_set, control_set_robust, eroded)
+        )
         if nxt.is_empty():
             raise RobustInfeasibleError(k)
         sets.append(nxt)
@@ -203,14 +230,21 @@ def _write_array(fh, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _read_array(fh, count: int) -> np.ndarray:
-    raw = fh.read(count * 8)
-    if len(raw) != count * 8:
+def _read_exact(fh, size: int) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
         raise ValueError("tube file truncated")
-    return np.frombuffer(raw, dtype="<f8").copy()
+    return raw
+
+
+def _read_array(fh, count: int) -> np.ndarray:
+    return np.frombuffer(_read_exact(fh, count * 8), dtype="<f8").copy()
 
 
 def serialize_tube(tube: ControllableTube, path) -> None:
+    """Write the tube; each set is followed by its canonical min-cost
+    basis (one flag byte, then one HiGHS status code per latent column
+    and per latent row), computed here if the set has none yet."""
     with open(path, "wb") as fh:
         fh.write(TUBE_MAGIC)
         fh.write(struct.pack("<IBId", TUBE_VERSION, _KINDS.index(tube.kind), tube.N, tube.dt))
@@ -222,6 +256,8 @@ def serialize_tube(tube: ControllableTube, path) -> None:
             _write_array(fh, Z.c)
             _write_array(fh, Z.A.toarray())
             _write_array(fh, Z.b)
+            basis = attach_cost_basis(Z).support_basis(min_cost_direction(n), compute=False)
+            fh.write(b"\x00" if basis is None else b"\x01" + basis.codes().tobytes())
 
 
 def deserialize_tube(path) -> ControllableTube:
@@ -233,7 +269,7 @@ def deserialize_tube(path) -> ControllableTube:
         if len(header) != struct.calcsize("<IBId"):
             raise ValueError("tube file truncated")
         version, kind_code, N, dt = struct.unpack("<IBId", header)
-        if version != TUBE_VERSION:
+        if version not in (1, TUBE_VERSION):
             raise ValueError(f"unsupported tube format version {version}")
         if kind_code >= len(_KINDS) or N < 1:
             raise ValueError("corrupt tube header")
@@ -250,7 +286,17 @@ def deserialize_tube(path) -> ControllableTube:
             c = _read_array(fh, n)
             A = _read_array(fh, n_e * n_g).reshape(n_e, n_g)
             b = _read_array(fh, n_e)
-            sets.append(ConstrainedZonotope(G, c, sp.csr_matrix(A), b))
+            Z = ConstrainedZonotope(G, c, sp.csr_matrix(A), b)
+            flag = _read_exact(fh, 1) if version > 1 else b"\x00"
+            if flag == b"\x01":
+                codes = np.frombuffer(_read_exact(fh, n_g + n_e), dtype=np.uint8)
+                try:
+                    Z.attach_support_basis(min_cost_direction(n), LpBasis.from_codes(codes, n_g))
+                except ValueError as err:
+                    raise ValueError(f"corrupt tube basis: {err}") from None
+            elif flag != b"\x00":
+                raise ValueError("corrupt tube basis flag")
+            sets.append(Z)
         if fh.read(1):
             raise ValueError("trailing bytes after tube payload")
     return ControllableTube(sets, dt, _KINDS[kind_code], digest)

@@ -216,6 +216,13 @@ def _cold_copy(z):
     return CZ(z.G, z.c, z.A, z.b)
 
 
+def _with_bases(z, etas):
+    """z, carrying its canonical support basis in each direction."""
+    for eta in etas:
+        z.support_basis(eta)
+    return z
+
+
 @pytest.mark.parametrize("tol", [0.0, 1e-6])
 def test_slice_support_warm_matches_cold(monkeypatch, tol):
     # slices of one parent at random points, some outside it, queried in
@@ -232,9 +239,9 @@ def test_slice_support_warm_matches_cold(monkeypatch, tol):
     rng = np.random.default_rng(32)
     outcomes = set()
     for _ in range(4):
-        z = random_cz(rng, dim=4, n_g=10, n_e=3)
-        lo, hi = z.interval_hull()
         etas = [rng.normal(size=4) for _ in range(3)]
+        z = _with_bases(random_cz(rng, dim=4, n_g=10, n_e=3), etas)
+        lo, hi = z.interval_hull()
         for _ in range(6):
             pin = rng.uniform(lo[:2] - 0.3 * (hi[:2] - lo[:2]), hi[:2] + 0.3 * (hi[:2] - lo[:2]))
             sliced = z.slice([0, 1], pin, tol=tol)
@@ -257,15 +264,16 @@ def test_slice_support_is_independent_of_query_history():
     # querying slice A first leaves the answer for slice B bitwise as it
     # is when B is queried alone on a fresh copy of the parent
     rng = np.random.default_rng(33)
-    z = random_cz(rng, dim=4, n_g=10, n_e=3)
     eta = np.array([0.0, 0.0, 1.0, -0.5])
+    z = _with_bases(random_cz(rng, dim=4, n_g=10, n_e=3), [eta])
     lo, hi = z.interval_hull()
     mid = (z.extreme_point(np.array([1.0, 0.3, 0.0, 0.0]))
            + z.extreme_point(np.array([-1.0, -0.3, 0.0, 0.0]))) / 2.0
     pin_a, pin_b = mid[:2] + 0.1 * (hi[:2] - lo[:2]), mid[:2] - 0.05 * (hi[:2] - lo[:2])
     z.slice([0, 1], pin_a, tol=1e-6).support(eta)
     after_a = z.slice([0, 1], pin_b, tol=1e-6).extreme_point(eta)
-    alone = _cold_copy(z).slice([0, 1], pin_b, tol=1e-6).extreme_point(eta)
+    fresh = _with_bases(_cold_copy(z), [eta])
+    alone = fresh.slice([0, 1], pin_b, tol=1e-6).extreme_point(eta)
     assert np.array_equal(after_a, alone)
 
 
@@ -497,10 +505,10 @@ def test_erosion_lp_failure_raises(monkeypatch, status):
     # only a certified infeasible erosion LP may yield the empty set
     solve = czset.solve_lp
 
-    def failing_erosion(prob, method="highs"):
+    def failing_erosion(prob, method="highs", basis=None):
         if method == "highs-ipm":
             return LpSolution(status)
-        return solve(prob, method)
+        return solve(prob, method, basis)
 
     monkeypatch.setattr(czset, "solve_lp", failing_erosion)
     z = CZ.from_box([-2.0, -2.0], [2.0, 2.0])

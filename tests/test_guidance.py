@@ -31,6 +31,7 @@ from cztube.landing import (
 from cztube.lp import LpStatus
 from cztube.tube import (
     ControllableTube,
+    attach_cost_basis,
     deterministic_recursion,
     make_full_dim_terminal,
     robust_recursion,
@@ -214,8 +215,9 @@ def test_rollout_matches_full_horizon_oracle(det_toy):
 
 
 def _fresh(tube):
-    """The same tube with new set objects, so nothing is memoized on them."""
-    sets = [ConstrainedZonotope(Z.G, Z.c, Z.A, Z.b) for Z in tube.sets]
+    """The same tube with new set objects, carrying nothing but their
+    canonical min-cost bases, as a loaded tube does."""
+    sets = [attach_cost_basis(ConstrainedZonotope(Z.G, Z.c, Z.A, Z.b)) for Z in tube.sets]
     return ControllableTube(sets, tube.dt, tube.kind)
 
 
@@ -239,6 +241,42 @@ def test_one_step_warm_matches_cold_solve(det_toy, monkeypatch):
         assert sol.status == cold.status == LpStatus.OPTIMAL
         assert abs(sol.objective_value - cold.objective_value) <= 1e-9 * max(
             1.0, abs(cold.objective_value))
+
+
+def test_one_step_basis_is_optimal_for_the_state_free_lp(det_toy):
+    # the basis assembled from the next set's and the control set's
+    # support bases needs no simplex iteration on the LP it stands for
+    scn, dyn, X, U, Xf, tube = det_toy
+    for k in range(2, tube.N + 1):
+        model = guidance._one_step_model(tube.cs(k), U, dyn)
+        basis = model.basis(tube.cs(k))
+        assert basis is not None
+        warm = lp.linprog(model.prob, "highs", basis)
+        cold = lp.linprog(model.prob)
+        assert warm.status == cold.status == lp.highs.HighsModelStatus.kOptimal
+        assert warm.nit == 0
+        c = model.prob.c_obj
+        assert abs(c @ warm.x - c @ cold.x) <= 1e-9 * max(1.0, abs(c @ cold.x))
+
+
+def test_queries_never_compute_a_tube_set_basis(det_toy, monkeypatch):
+    # the scan, the rollout and the deferred rollout only read the bases
+    # the tube sets carry; the control set's small basis is the one they
+    # compute, and the effective sets made online are queried cold
+    scn, dyn, X, U, Xf, tube = det_toy
+    fresh = _fresh(tube)
+    computed = set()
+    support_basis = ConstrainedZonotope.support_basis
+
+    def spy(self, eta, compute=True):
+        if compute:
+            computed.add(id(self))
+        return support_basis(self, eta, compute)
+
+    monkeypatch.setattr(ConstrainedZonotope, "support_basis", spy)
+    forward_rollout(scn.initial_state(), fresh, U, dyn)
+    ddto_rollout(scn.initial_state(), fresh, np.array([8.0, 0.0, 0.0]), U, dyn)
+    assert computed == {id(U)}
 
 
 def test_scan_and_step_are_independent_of_query_history(det_toy):

@@ -231,7 +231,7 @@ def test_criterion_03_degenerate_lp_is_optimal():
 def test_uncertified_infeasible_verdict_is_never_reported(monkeypatch, ray):
     # a backend that calls every LP infeasible, with no ray or a ray that
     # proves nothing, on LPs that are feasible
-    def lying_backend(prob, method="highs"):
+    def lying_backend(prob, method="highs", basis=None):
         bogus = np.ones(prob.E.shape[0] + prob.H.shape[0])
         return HighsRun(lp.highs.HighsModelStatus.kInfeasible, 0,
                         ray=None if ray is None else bogus)
@@ -250,11 +250,11 @@ def test_false_infeasible_verdict_recovers_on_retry(monkeypatch):
     calls = []
     honest = lp.linprog
 
-    def flaky_backend(prob, method="highs"):
+    def flaky_backend(prob, method="highs", basis=None):
         calls.append(method)
         if len(calls) == 1:
             return HighsRun(lp.highs.HighsModelStatus.kInfeasible, 0)
-        return honest(prob, method)
+        return honest(prob, method, basis)
 
     monkeypatch.setattr(lp, "linprog", flaky_backend)
     prob = _random_feasible_lp(np.random.default_rng(9))

@@ -1,6 +1,7 @@
 """Tests for the controllable-tube recursions and the tube file format."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cztube.tube import (
     deterministic_recursion,
     deserialize_tube,
     make_full_dim_terminal,
+    min_cost_direction,
     robust_recursion,
     scenario_digest,
     serialize_tube,
@@ -234,6 +236,52 @@ def test_serialization_roundtrip_bitwise(tmp_path):
     path2 = tmp_path / "toy2.tube"
     serialize_tube(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _toy_tube():
+    dyn = toy_integrator()
+    X, U = interval(-5.0, 5.0), interval(-1.0, 1.0)
+    Xf = interval(-0.5, 0.5)
+    return deterministic_recursion(dyn, X, U, Xf, max_N=4)
+
+
+def test_recursion_and_tube_file_carry_the_cost_bases(tmp_path):
+    # every set is made with its min-cost basis, and a loaded set carries
+    # the same one without solving anything
+    tube = _toy_tube()
+    eta = min_cost_direction(1)
+    bases = [Z.support_basis(eta, compute=False) for Z in tube.sets]
+    assert all(b is not None for b in bases)
+    assert not any(Z.is_empty() for Z in tube.sets)
+    path = tmp_path / "toy.tube"
+    serialize_tube(tube, path)
+    back = deserialize_tube(path)
+    assert [Z.support_basis(eta, compute=False) for Z in back.sets] == bases
+
+
+def test_version_1_tube_file_loads_without_bases(tmp_path):
+    Z = interval(-1.0, 2.0)
+    raw = b"CZTB" + struct.pack("<IBId", 1, 0, 1, 1.0) + b"\x00" * 32
+    raw += struct.pack("<III", 1, 1, 0) + np.array([1.5, 0.5]).tobytes()
+    path = tmp_path / "v1.tube"
+    path.write_bytes(raw)
+    back = deserialize_tube(path)
+    W = back.cs(1)
+    assert np.array_equal(W.G, Z.G) and np.array_equal(W.c, Z.c)
+    assert W.support_basis(min_cost_direction(1), compute=False) is None
+
+
+@pytest.mark.parametrize("payload", [b"\x02", b"\x01\x09", b"\x01\x01"])
+def test_serialization_rejects_corrupt_basis(tmp_path, payload):
+    # a one-set file ends in its basis: flag byte and one status code
+    tube = ControllableTube([interval(-1.0, 1.0)], 1.0, "deterministic")
+    path = tmp_path / "t.tube"
+    serialize_tube(tube, path)
+    good = path.read_bytes()
+    assert good[-2] == 1
+    path.write_bytes(good[:-2] + payload)
+    with pytest.raises(ValueError):
+        deserialize_tube(path)
 
 
 def test_serialization_rejects_bad_magic(tmp_path):
