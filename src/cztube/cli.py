@@ -259,6 +259,20 @@ MC_HEADER = ["trial", "seed", "success", "term_rx", "term_ry", "term_rz",
              "term_vx", "term_vy", "term_vz", "fuel_kg"]
 
 
+def _montecarlo_rows(summary):
+    """One MC_HEADER row per trial; a failed trial leaves its terminal
+    state and fuel empty."""
+    rows = []
+    for r in summary.results:
+        term = r.terminal_state if r.terminal_state is not None else [None] * 8
+        rows.append(
+            [r.trial, r.seed, int(r.success)]
+            + [None if term[i] is None else float(term[i]) for i in range(6)]
+            + [None if r.fuel_kg is None else float(r.fuel_kg)]
+        )
+    return rows
+
+
 def cmd_montecarlo(args) -> int:
     cfg = parse_config(args.config)
     scn = scenario_from_config(cfg)
@@ -273,15 +287,7 @@ def cmd_montecarlo(args) -> int:
     summary = guidance.monte_carlo(
         scn, loaded, model, schedule, U_rob, Xf_full, dyn, args.trials, args.seed
     )
-    rows = []
-    for r in summary.results:
-        term = r.terminal_state if r.terminal_state is not None else [None] * 8
-        rows.append(
-            [r.trial, r.seed, int(r.success)]
-            + [None if term[i] is None else float(term[i]) for i in range(6)]
-            + [None if r.fuel_kg is None else float(r.fuel_kg)]
-        )
-    _write_csv(args.out, MC_HEADER, rows)
+    _write_csv(args.out, MC_HEADER, _montecarlo_rows(summary))
     if args.svg:
         _write_scatter_svg(args.svg, summary, Xf_full)
     print(f"successes: {summary.successes}/{summary.trials}")

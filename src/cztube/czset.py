@@ -80,11 +80,11 @@ class ConstrainedZonotope:
     length n_e.  Instances are treated as immutable; every operation
     returns a new object.  Latent columns that appear in neither G nor
     A are pruned at construction.  Values derived from a set, such as
-    the canonical simplex bases that warm-start queries on its slices,
-    are memoized on it (``cached``).
+    the canonical simplex bases that warm-start queries on its slices
+    and on its affine images, are memoized on it (``cached``).
     """
 
-    __slots__ = ("G", "c", "A", "b", "_cache", "_slice_of")
+    __slots__ = ("G", "c", "A", "b", "_cache", "_slice_of", "_image_of")
 
     def __init__(self, G, c, A=None, b=None):
         c = np.asarray(c, dtype=float).ravel()
@@ -125,6 +125,9 @@ class ConstrainedZonotope:
         self._cache = {}
         # (parent, pinned rows, banded) when this set is parent.slice(...)
         self._slice_of = None
+        # the set whose latent LP this one shares, when it is an affine
+        # image that pruned no latent (``latent_basis``)
+        self._image_of = None
 
     # -- representation queries ------------------------------------------
 
@@ -197,7 +200,10 @@ class ConstrainedZonotope:
         if R.shape[1] != self.dim:
             raise ValueError("map column count does not match set dimension")
         r = np.zeros(R.shape[0]) if r is None else np.asarray(r, dtype=float).ravel()
-        return ConstrainedZonotope(R @ self.G, R @ self.c + r, self.A, self.b)
+        out = ConstrainedZonotope(R @ self.G, R @ self.c + r, self.A, self.b)
+        if out.n_generators == self.n_generators:
+            out._image_of = self if self._image_of is None else self._image_of
+        return out
 
     def translate(self, t) -> "ConstrainedZonotope":
         return ConstrainedZonotope(self.G, self.c + np.asarray(t, dtype=float).ravel(),
@@ -246,8 +252,8 @@ class ConstrainedZonotope:
 
         The latent layout is the parent's with the m pin rows appended
         to A and, for a band, m band columns appended after the parent's
-        latents; support queries on the slice warm-start from it
-        (``_slice_basis``).
+        latents; support LPs on the slice warm-start from the parent's
+        bases (``_slice_basis``).
         """
         dims = np.asarray(dims, dtype=int)
         values = np.asarray(values, dtype=float).ravel()
@@ -294,6 +300,30 @@ class ConstrainedZonotope:
             return LpBasis(base.cols + (BASIC,) * m, base.rows + (NONBASIC,) * m)
         return LpBasis(base.cols, base.rows + (BASIC,) * m)
 
+    def latent_basis(self):
+        """An optimal basis of this set's latent LP, or None.
+
+        It is the basis of the support LP that settled ``is_empty(eta)``,
+        kept when that LP ended optimal; an affine image that pruned no
+        latent (``affine_map``, ``project``) has the same latent LP and
+        reads its source's.  Every support LP of the set and of those
+        images has the same rows and bounds and differs only in its
+        objective, so this basis is primal feasible for each of them.
+        It is computed once per set, with emptiness, and never taken from
+        a support query, so answers do not depend on the order of the
+        queries.
+        """
+        source = self if self._image_of is None else self._image_of
+        return source._cache.get("latent_basis")
+
+    def _start_basis(self, eta):
+        """Starting basis of the support LP in direction eta: the slice's
+        dual feasible one (``_slice_basis``), or an image's primal
+        feasible one (``latent_basis``), or None (a cold solve)."""
+        if self._image_of is not None:
+            return self.latent_basis()
+        return self._slice_basis(eta)
+
     def project(self, dims) -> "ConstrainedZonotope":
         dims = np.asarray(dims, dtype=int)
         E = np.zeros((dims.size, self.dim))
@@ -338,9 +368,13 @@ class ConstrainedZonotope:
         """True iff the set is empty.  A feasibility LP decides it, or,
         when eta is given, the support LP in direction eta, whose solve
         also leaves the set's canonical basis in direction eta memoized
-        (``support_basis``)."""
-        if eta is not None:
+        (``support_basis``); when that LP settles emptiness and ends
+        optimal, its basis is the set's ``latent_basis``.  Either way a
+        numerical failure raises LpError."""
+        if eta is not None and self.n_generators:
             self.support_basis(eta)
+            if "empty" not in self._cache:
+                raise LpError("emptiness check failed numerically")
 
         def solve():
             sol = check_feasibility(self._latent_lp(np.zeros(self.n_generators)))
@@ -357,14 +391,15 @@ class ConstrainedZonotope:
         """Canonical optimal basis of the support LP in direction eta, or
         None when that LP has no variables or no optimum.
 
-        The basis is the one a cold solve ends on, memoized on the set,
-        so it depends on nothing but the set and eta.  Queries ask with
+        The basis is the one a solve from ``_start_basis`` ends on (cold
+        but for slices and images), memoized on the set, so it depends on
+        nothing but the set and eta.  Queries ask with
         compute=False, which only reads the memo: they never pay for the
         cold solve.  The code that makes a set for repeated queries (the
         tube recursions, ``tube.deserialize_tube``) computes the basis,
         through ``is_empty(eta)``, or restores it
         (``attach_support_basis``).  The solve's verdict also settles
-        ``is_empty``.
+        ``is_empty`` unless it is settled already.
         """
         eta = np.asarray(eta, dtype=float).ravel()
         key = _basis_key(eta)
@@ -374,28 +409,34 @@ class ConstrainedZonotope:
         def solve():
             if self.n_generators == 0:
                 return None
-            sol = solve_lp(self._support_lp(eta))
-            if sol.status in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE):
-                self._cache.setdefault("empty", sol.status == LpStatus.INFEASIBLE)
-            return sol.basis if sol.status == LpStatus.OPTIMAL else None
+            sol = solve_lp(self._support_lp(eta), basis=self._start_basis(eta))
+            basis = sol.basis if sol.status == LpStatus.OPTIMAL else None
+            settled = sol.status in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE)
+            if settled and "empty" not in self._cache:
+                self._cache["latent_basis"] = basis
+                self._cache["empty"] = sol.status == LpStatus.INFEASIBLE
+            return basis
 
         return self.cached(key, solve)
 
     def attach_support_basis(self, eta, basis: LpBasis) -> None:
         """Memoize a basis that ``support_basis(eta)`` computed for an
         equal set, such as one read back from a tube file.  An optimal
-        basis exists only for a nonempty set, which settles ``is_empty``."""
+        basis exists only for a nonempty set, which settles ``is_empty``
+        as the support LP would have."""
         if (len(basis.cols), len(basis.rows)) != (self.n_generators, self.n_constraints):
             raise ValueError("basis does not match the set's support LP")
         self.cached(_basis_key(np.asarray(eta, dtype=float).ravel()), lambda: basis)
-        self._cache.setdefault("empty", False)
+        if "empty" not in self._cache:
+            self._cache["latent_basis"] = basis
+            self._cache["empty"] = False
 
     def _support_solution(self, eta):
         eta = np.asarray(eta, dtype=float).ravel()
         if eta.size != self.dim:
             raise ValueError("direction dimension mismatch")
         prob = self._support_lp(eta)
-        sol = solve_lp(prob, basis=self._slice_basis(eta))
+        sol = solve_lp(prob, basis=self._start_basis(eta))
         if sol.status == LpStatus.INFEASIBLE:
             raise EmptySetError("support query on an empty set")
         if sol.status != LpStatus.OPTIMAL:

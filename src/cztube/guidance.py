@@ -16,9 +16,14 @@ the same LP with the state left free.  That basis is assembled from the
 canonical min-cost basis that every tube set carries from the build or
 the tube file (``tube.attach_cost_basis``); a query only reads it, never
 computes it, and never takes a basis from a previous query, so every
-answer is independent of the order of the queries before it.  Sets made
+answer is independent of the order of the queries before it.  The
+divert footprint (``instantaneous_reachable``) settles the emptiness of
+its slice with the slice's min-cost support LP, warm from the same
+basis, and every support LP of the footprint starts from that LP's
+optimal basis, which is primal feasible for all of them.  Sets made
 online, such as the effective sets of ``ddto_rollout``, carry no basis
-and are queried cold.
+and are queried cold, but for the min-cost basis that an emptiness
+check leaves behind.
 """
 
 from __future__ import annotations
@@ -428,7 +433,13 @@ def instantaneous_reachable(
     Slices the tube set at the current non-cyclic state, projects onto
     the cyclic coordinates, and reflects the result about the current
     cyclic position shifted to the target: x_hat_k + (-S) + x_hat_f.
-    Optimization-free — pure set plumbing.
+
+    One LP, the slice's support LP in the min-cost direction, settles
+    whether the slice is empty.  It warm-starts from the tube set's
+    canonical basis, and its optimal basis is the slice's latent basis:
+    the projection and reflection keep the slice's latent LP, so every
+    support query on the result warm-starts from it
+    (``ConstrainedZonotope.latent_basis``).
     """
     cyclic = np.asarray(cyclic_dims, dtype=int)
     comp = np.array([i for i in range(STATE_DIM) if i not in set(cyclic.tolist())])
@@ -439,7 +450,7 @@ def instantaneous_reachable(
         raise ValueError("cyclic coordinates are not translation-invariant")
     cs = tube.cs(k)
     sliced = cs.slice(comp, x_comp_k, tol=tol)
-    if sliced.is_empty():
+    if sliced.is_empty(min_cost_direction(STATE_DIM)):
         raise EmptySliceError(
             f"non-cyclic state is outside the step-{k} controllable set"
         )
@@ -484,9 +495,11 @@ def ddto_rollout(
     """
     x_i = np.asarray(x_i, dtype=float).ravel()
     delta = _embed_offset(backup_offset)
-    # made once per call; they carry no canonical basis, so their queries
-    # run cold: a call queries each at most a few times, too few to repay
-    # the cold solve that computing one costs
+    # made once per call, with no canonical basis: a call queries each at
+    # most a few times, too few to repay a solve for one.  A deferred
+    # step's emptiness check of its target runs the min-cost support LP,
+    # cheaper than the zero-objective one, and so leaves the target's
+    # min-cost basis for the next step's slice of it.
     eff = [effective_tube_set(tube, k, delta) for k in range(1, tube.N + 1)]
     hq = _horizon_scan(eff, x_i, SLICE_TOL, "initial state is outside the effective tube")
     k_start, c_star = hq.k_star, hq.c_star
@@ -507,7 +520,7 @@ def ddto_rollout(
             c_here = _min_cost_at_state(eff[k - 1], state[: STATE_DIM - 1])
             if c_here is not None:
                 target = eff[k]
-                if not target.is_empty():
+                if not target.is_empty(min_cost_direction(STATE_DIM)):
                     try:
                         step_result = one_step_ocp(state, target, control_set, dyn)
                     except InfeasibleError:

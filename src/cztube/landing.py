@@ -202,17 +202,3 @@ def build_terminal_set(scn: LandingScenario) -> ConstrainedZonotope:
     upper = np.concatenate([scn.r_f, scn.v_f, [scn.z_max, 0.0]])
     return ConstrainedZonotope.from_box(lower, upper)
 
-
-@dataclass
-class ConstraintSets:
-    state_set: ConstrainedZonotope
-    control_set: ConstrainedZonotope
-    terminal_set: ConstrainedZonotope
-
-
-def build_constraint_sets(scn: LandingScenario, k_points: Optional[int] = None) -> ConstraintSets:
-    return ConstraintSets(
-        build_state_set(scn),
-        build_control_set(scn, k_points),
-        build_terminal_set(scn),
-    )

@@ -23,7 +23,14 @@ Simplex can start from a given basis (``LpBasis``; an optimal simplex
 run reports its own).  The checks above apply unchanged to a warm run,
 and its retry runs cold.  Callers pass only canonical bases, which
 depend on the program's fixed data and never on an earlier query, so
-answers do not depend on the order of queries.
+answers do not depend on the order of queries.  Two kinds are passed: a
+basis that is dual feasible for the program (an optimal basis of the
+same objective over related rows, e.g. a tube set's for its slices),
+and one that is primal feasible (an optimal basis of the same rows and
+bounds under another objective, e.g. a slice's for the support LPs of
+its affine images).  HiGHS picks the simplex variant of a warm run
+from the start it is given: primal simplex from a primal feasible
+basis, dual simplex otherwise.  Cold runs use dual simplex.
 """
 
 from __future__ import annotations
@@ -54,6 +61,9 @@ _COMMON_OPTIONS = {
     "small_matrix_value": SMALL_MATRIX_VALUE,
     "simplex_strategy": 1,  # dual simplex
 }
+# a warm start lets HiGHS choose: primal simplex when the starting basis
+# is primal feasible, dual simplex otherwise
+_WARM_OPTIONS = {"simplex_strategy": 0}
 _METHODS = {"highs": _SIMPLEX_OPTIONS, "highs-ds": _SIMPLEX_OPTIONS, "highs-ipm": _IPM_OPTIONS}
 _INFEASIBLE = (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kUnboundedOrInfeasible)
 _COLWISE = int(highs.MatrixFormat.kColwise)
@@ -130,10 +140,6 @@ class LinearProgram:
         row_lo = np.concatenate([np.full(self.g.size, -np.inf), self.f])
         row_hi = np.concatenate([self.g, self.f])
         return A, row_lo, row_hi
-
-    def row_scale(self) -> np.ndarray:
-        """Residual scale of each row of ``rows()``."""
-        return np.concatenate([_row_scale(self.H, self.g), _row_scale(self.E, self.f)])
 
 
 @dataclass(frozen=True)
@@ -218,7 +224,7 @@ def _feasibility_residual(prob: LinearProgram, x: np.ndarray) -> float:
     return res
 
 
-def farkas_certifies(prob: LinearProgram, ray) -> bool:
+def farkas_certifies(prob: LinearProgram, ray, rows=None) -> bool:
     """True iff ``ray`` (or its negation) proves ``prob`` infeasible.
 
     With the rows written as row_lo <= A x <= row_hi (``prob.rows()``), a
@@ -237,8 +243,10 @@ def farkas_certifies(prob: LinearProgram, ray) -> bool:
     error and fails on anything larger.  Ray entries below RAY_TOL of
     the largest are dropped first; the check is then exact for the
     remaining vector.
+
+    ``rows`` is ``prob.rows()`` when the caller has built it already.
     """
-    A, row_lo, row_hi = prob.rows()
+    A, row_lo, row_hi = prob.rows() if rows is None else rows
     y = np.asarray(ray, dtype=float).ravel()
     if y.size != A.shape[0] or not np.all(np.isfinite(y)):
         return False
@@ -247,7 +255,7 @@ def farkas_certifies(prob: LinearProgram, ray) -> bool:
         return False
     y = y / peak
     y[np.abs(y) <= RAY_TOL] = 0.0
-    slack = FEAS_TOL * float(np.abs(y) @ prob.row_scale())
+    slack = FEAS_TOL * float(np.abs(y) @ _row_scale(A, row_hi))
     rounding = RAY_TOL * (abs(A).T @ np.abs(y))
     for cand in (y, -y):
         r_min = np.where(cand > 0, row_lo, np.where(cand < 0, row_hi, 0.0))
@@ -264,7 +272,7 @@ def farkas_certifies(prob: LinearProgram, ray) -> bool:
     return False
 
 
-def single_row_certifies(prob: LinearProgram) -> bool:
+def single_row_certifies(prob: LinearProgram, rows=None) -> bool:
     """True iff some row alone proves ``prob`` infeasible.
 
     This is ``farkas_certifies`` for every unit ray y = +-e_i at once: the
@@ -272,9 +280,9 @@ def single_row_certifies(prob: LinearProgram) -> bool:
     row_hi_i] by more than FEAS_TOL * row_scale_i.  It covers what the
     solver rejects before it runs simplex and so without a ray, such as a
     row left empty once HiGHS drops its entries below
-    SMALL_MATRIX_VALUE.
+    SMALL_MATRIX_VALUE.  ``rows`` is as in ``farkas_certifies``.
     """
-    A, row_lo, row_hi = prob.rows()
+    A, row_lo, row_hi = prob.rows() if rows is None else rows
     A = A.tocsr()
     A.eliminate_zeros()
     a, cols = A.data, A.indices
@@ -285,14 +293,15 @@ def single_row_certifies(prob: LinearProgram) -> bool:
 
     act_hi = activity(prob.ub, prob.lb)
     act_lo = activity(prob.lb, prob.ub)
-    slack = FEAS_TOL * prob.row_scale()
+    slack = FEAS_TOL * _row_scale(A, row_hi)
     return bool(np.any(act_hi < row_lo - slack) or np.any(act_lo > row_hi + slack))
 
 
 @dataclass
 class HighsRun:
     """What one HiGHS run reports: model status, iterations, and the
-    primal/dual solution or the dual ray when the run produced one."""
+    primal/dual solution or the dual ray when the run produced one;
+    ``rows`` is the ``prob.rows()`` the run was given."""
 
     status: highs.HighsModelStatus
     nit: int
@@ -301,6 +310,7 @@ class HighsRun:
     col_dual: Optional[np.ndarray] = None
     ray: Optional[np.ndarray] = None
     basis: Optional[object] = None
+    rows: Optional[tuple] = field(default=None, repr=False)
 
 
 def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis] = None) -> HighsRun:
@@ -309,16 +319,22 @@ def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis]
     "highs" and "highs-ds" run dual simplex with presolve off, so an
     infeasibility verdict comes with the simplex's own dual ray at no
     extra cost, and an optimal run reports its basis.  A given ``basis``
-    is the simplex's starting basis (HiGHS ``setBasis``); a basis that is
-    dual feasible for prob leaves dual simplex only the primal
-    infeasibilities to repair.  "highs-ipm" runs the interior-point
-    method (presolve and crossover at their defaults); it ignores
-    ``basis`` and yields no ray.  The name is the one the benchmark's
-    tracer (bench/tracing.py) times as the backend call.
+    is the simplex's starting basis (HiGHS ``setBasis``), and HiGHS then
+    chooses the simplex variant: from a basis that is dual feasible for
+    prob, dual simplex repairs only the primal infeasibilities; from one
+    that is primal feasible, primal simplex only improves the objective.
+    "highs-ipm" runs the interior-point method (presolve and crossover
+    at their defaults); it ignores ``basis`` and yields no ray.  The name
+    is the one the benchmark's tracer (bench/tracing.py) times as the
+    backend call.
     """
-    A, row_lo, row_hi = prob.rows()
+    rows = prob.rows()
+    A, row_lo, row_hi = rows
+    simplex = method != "highs-ipm"
+    warm = basis is not None and simplex
+    options = {**_COMMON_OPTIONS, **_METHODS[method], **(_WARM_OPTIONS if warm else {})}
     solver = highs._Highs()
-    for key, value in {**_COMMON_OPTIONS, **_METHODS[method]}.items():
+    for key, value in options.items():
         if solver.setOptionValue(key, value) != highs.HighsStatus.kOk:
             raise ValueError(f"HiGHS rejected option {key}={value!r}")
     # the array overload of passModel takes the numpy buffers as they
@@ -331,8 +347,7 @@ def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis]
     )
     if passed == highs.HighsStatus.kError:
         return HighsRun(highs.HighsModelStatus.kModelError, 0)
-    simplex = method != "highs-ipm"
-    if basis is not None and simplex:
+    if warm:
         if len(basis.cols) != prob.n_vars or len(basis.rows) != A.shape[0]:
             raise ValueError("starting basis does not match the program's shape")
         start = highs.HighsBasis()
@@ -345,7 +360,8 @@ def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis]
     solver.run()
     status = solver.getModelStatus()
     info = solver.getInfo()
-    run = HighsRun(status, int(info.simplex_iteration_count or info.ipm_iteration_count))
+    run = HighsRun(status, int(info.simplex_iteration_count or info.ipm_iteration_count),
+                   rows=rows)
     if status == highs.HighsModelStatus.kOptimal:
         sol = solver.getSolution()
         run.x = np.array(sol.col_value, dtype=float)
@@ -372,7 +388,11 @@ def solve_lp(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis
     canonical bases: the optimal basis of a fixed reference program that
     depends on nothing but the caller's data (a set, a direction, a
     control set and dynamics), never the basis of a previous query, so an
-    answer does not depend on the order of the queries before it.  A
+    answer does not depend on the order of the queries before it.  The
+    reference program either has the same objective (its basis is dual
+    feasible, as a tube set's is for its slices) or the same rows and
+    bounds (its basis is primal feasible, as a slice's latent basis is
+    for the support LPs of its projection and other affine images).  A
     warm start changes how the solver gets to its verdict, not how the
     verdict is checked.
 
@@ -417,8 +437,8 @@ def _solve_once(prob: LinearProgram, method: str, basis: Optional[LpBasis] = Non
     if run.status in _INFEASIBLE and method == "highs-ipm":
         run = linprog(prob, "highs-ds")
     if run.status in _INFEASIBLE:
-        certified = run.ray is not None and farkas_certifies(prob, run.ray)
-        if certified or single_row_certifies(prob):
+        certified = run.ray is not None and farkas_certifies(prob, run.ray, run.rows)
+        if certified or single_row_certifies(prob, run.rows):
             return LpSolution(LpStatus.INFEASIBLE)
         return LpSolution(LpStatus.NUMERICAL_FAILURE)
     if run.status == highs.HighsModelStatus.kUnbounded:

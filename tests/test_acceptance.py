@@ -11,7 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from cztube.cli import FLOAT_FMT, MC_HEADER, TRAJ_HEADER, _trajectory_rows, _write_csv
+from cztube.cli import (
+    FLOAT_FMT,
+    MC_HEADER,
+    TRAJ_HEADER,
+    _montecarlo_rows,
+    _trajectory_rows,
+    _write_csv,
+)
 from cztube.cone import CompactQuadraticCone, cqc_inner_approx
 from cztube.czset import ConstrainedZonotope
 from cztube.guidance import (
@@ -73,18 +80,6 @@ def report(num, name, ok, extra=""):
         sys.stdout.flush()
 
 
-def mc_rows(summary):
-    rows = []
-    for r in summary.results:
-        term = r.terminal_state if r.terminal_state is not None else [None] * 8
-        rows.append(
-            [r.trial, r.seed, int(r.success)]
-            + [None if term[i] is None else float(term[i]) for i in range(6)]
-            + [None if r.fuel_kg is None else float(r.fuel_kg)]
-        )
-    return rows
-
-
 # -- shared pipelines -------------------------------------------------------
 
 
@@ -144,7 +139,7 @@ def rob(tmp_path_factory):
     tube_path = out / "rob.cztb"
     serialize_tube(tube, tube_path)
     mc_path = out / "montecarlo.csv"
-    _write_csv(mc_path, MC_HEADER, mc_rows(summary))
+    _write_csv(mc_path, MC_HEADER, _montecarlo_rows(summary))
     return {
         "scn": scn, "dyn": dyn, "model": model, "sched": sched,
         "U_rob": U_rob, "Tf": Tf, "dyn_w": dyn_w, "tube": tube, "sink": sink,
@@ -435,7 +430,7 @@ def test_criterion_12_bitwise_determinism(det, rob):
         rob["dyn"], trials=100, master_seed=MC_SEED, eroded=sink2,
     )
     mc2 = rob["out"] / "montecarlo_rerun.csv"
-    _write_csv(mc2, MC_HEADER, mc_rows(summary2))
+    _write_csv(mc2, MC_HEADER, _montecarlo_rows(summary2))
     mc_same = mc2.read_bytes() == rob["mc_path"].read_bytes()
 
     ok = det_tube_same and det_traj_same and rob_tube_same and mc_same

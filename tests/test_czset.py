@@ -15,7 +15,7 @@ from cztube.czset import (
     Halfspace,
     NotFullDimensionalError,
 )
-from cztube.lp import SMALL_MATRIX_VALUE, LpError, LpSolution, LpStatus
+from cztube.lp import FEAS_TOL, SMALL_MATRIX_VALUE, LpError, LpSolution, LpStatus
 
 CZ = ConstrainedZonotope
 
@@ -275,6 +275,70 @@ def test_slice_support_is_independent_of_query_history():
     fresh = _with_bases(_cold_copy(z), [eta])
     alone = fresh.slice([0, 1], pin_b, tol=1e-6).extreme_point(eta)
     assert np.array_equal(after_a, alone)
+
+
+def test_image_support_warm_matches_cold(monkeypatch):
+    # projections and affine images of a slice warm-start every support
+    # LP from the basis of the LP that settled the slice's emptiness;
+    # each answer equals a cold solve
+    warm_calls = []
+    backend = lp.linprog
+
+    def spy(prob, method="highs", basis=None):
+        warm_calls.append(basis is not None)
+        return backend(prob, method, basis)
+
+    monkeypatch.setattr(lp, "linprog", spy)
+    rng = np.random.default_rng(34)
+    ref = np.array([0.0, 0.0, 0.0, -1.0])
+    for _ in range(4):
+        z = _with_bases(random_cz(rng, dim=4, n_g=10, n_e=3), [ref])
+        inside = (z.extreme_point(rng.normal(size=4)) + z.extreme_point(rng.normal(size=4))) / 2
+        sliced = z.slice([2, 3], inside[[2, 3]], tol=1e-6)
+        assert not sliced.is_empty(ref)
+        assert sliced.latent_basis() is not None
+        M = rng.normal(size=(2, 2))
+        image = sliced.project([0, 1]).affine_map(M, rng.normal(size=2))
+        assert image.latent_basis() is sliced.latent_basis()
+        for _ in range(8):
+            eta = rng.normal(size=2)
+            del warm_calls[:]
+            warm, point = image.support(eta), image.extreme_point(eta)
+            assert warm_calls == [True, True]
+            cold = _cold_copy(image)
+            scale = max(1.0, abs(cold.support(eta)))
+            assert abs(warm - cold.support(eta)) <= FEAS_TOL * scale
+            assert np.linalg.norm(point - cold.extreme_point(eta)) <= FEAS_TOL * scale
+
+
+def test_latent_basis_needs_an_unpruned_image_and_a_settling_lp():
+    rng = np.random.default_rng(35)
+    z = random_cz(rng, dim=3, n_g=6, n_e=2)
+    assert z.project([0]).latent_basis() is None  # emptiness not settled yet
+    z.is_empty(np.array([1.0, 0.0, 0.0]))
+    basis = z.latent_basis()
+    assert basis is not None and z.project([0, 1]).latent_basis() is basis
+    # settling again in another direction keeps the first basis
+    z.is_empty(np.array([0.0, 1.0, 0.0]))
+    assert z.latent_basis() is basis
+    # an image that prunes latents has another latent LP
+    free = CZ(np.eye(2), np.zeros(2))
+    free.is_empty(np.array([1.0, 0.0]))
+    assert free.latent_basis() is not None
+    assert free.project([0]).n_generators == 1
+    assert free.project([0]).latent_basis() is None
+    # a feasibility LP leaves none
+    w = random_cz(rng, dim=3, n_g=6, n_e=2)
+    assert not w.is_empty()
+    w.is_empty(np.array([1.0, 0.0, 0.0]))
+    assert w.latent_basis() is None
+
+
+def test_support_emptiness_check_raises_on_numerical_failure(monkeypatch):
+    monkeypatch.setattr(czset, "solve_lp",
+                        lambda prob, method="highs", basis=None: LpSolution(LpStatus.NUMERICAL_FAILURE))
+    with pytest.raises(LpError):
+        CZ.from_box([-1.0, -1.0], [1.0, 1.0]).is_empty(np.array([1.0, 0.0]))
 
 
 def test_memoized_value_is_computed_once_across_threads():

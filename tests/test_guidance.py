@@ -4,7 +4,7 @@ control, rollouts, reachable sets, deferred decisions, and Monte Carlo."""
 import numpy as np
 import pytest
 
-from cztube import guidance, lp
+from cztube import czset, guidance, lp
 from cztube.czset import ConstrainedZonotope
 from cztube.guidance import (
     EmptySliceError,
@@ -28,7 +28,7 @@ from cztube.landing import (
     build_terminal_set,
     discretize,
 )
-from cztube.lp import LpStatus
+from cztube.lp import FEAS_TOL, LpError, LpSolution, LpStatus
 from cztube.tube import (
     ControllableTube,
     attach_cost_basis,
@@ -262,7 +262,8 @@ def test_one_step_basis_is_optimal_for_the_state_free_lp(det_toy):
 def test_queries_never_compute_a_tube_set_basis(det_toy, monkeypatch):
     # the scan, the rollout and the deferred rollout only read the bases
     # the tube sets carry; the control set's small basis is the one they
-    # compute, and the effective sets made online are queried cold
+    # compute, besides the min-cost bases that the deferred rollout's
+    # emptiness checks of its effective sets yield with their verdicts
     scn, dyn, X, U, Xf, tube = det_toy
     fresh = _fresh(tube)
     computed = set()
@@ -273,10 +274,19 @@ def test_queries_never_compute_a_tube_set_basis(det_toy, monkeypatch):
             computed.add(id(self))
         return support_basis(self, eta, compute)
 
+    effective = []
+    make_effective = guidance.effective_tube_set
+
+    def effective_spy(*args):
+        effective.append(make_effective(*args))
+        return effective[-1]
+
     monkeypatch.setattr(ConstrainedZonotope, "support_basis", spy)
     forward_rollout(scn.initial_state(), fresh, U, dyn)
-    ddto_rollout(scn.initial_state(), fresh, np.array([8.0, 0.0, 0.0]), U, dyn)
     assert computed == {id(U)}
+    monkeypatch.setattr(guidance, "effective_tube_set", effective_spy)
+    ddto_rollout(scn.initial_state(), fresh, np.array([8.0, 0.0, 0.0]), U, dyn)
+    assert computed - {id(U)} <= {id(Z) for Z in effective}
 
 
 def test_scan_and_step_are_independent_of_query_history(det_toy):
@@ -371,6 +381,80 @@ def test_instantaneous_reachable_on_landing_tube(det_toy):
     assert R.dim == 2
     # the nominal target (fly the current plan) is always reachable
     assert R.contains_point(np.zeros(2), tol=1e-6) or not R.is_empty()
+
+
+def _footprints(tube, U, dyn, scn):
+    """The divert footprint at each step of the nominal rollout on tube."""
+    log = forward_rollout(scn.initial_state(), tube, U, dyn)
+    return [
+        (r, instantaneous_reachable(r.state[:2], r.state[2:], tube, r.k, np.zeros(2), dyn=dyn))
+        for r in log.records
+    ]
+
+
+def test_footprint_warm_matches_cold_solve(det_toy):
+    # every support LP of the footprint starts from the slice's min-cost
+    # basis; supports and extreme points equal cold solves
+    scn, dyn, X, U, Xf, tube = det_toy
+    rng = np.random.default_rng(41)
+    footprints = _footprints(_fresh(tube), U, dyn, scn)
+    assert len(footprints) >= 3
+    for _, R in footprints:
+        assert R.latent_basis() is not None
+        cold = ConstrainedZonotope(R.G, R.c, R.A, R.b)
+        assert cold.latent_basis() is None
+        for _ in range(6):
+            eta = rng.normal(size=2)
+            scale = max(1.0, abs(cold.support(eta)))
+            assert abs(R.support(eta) - cold.support(eta)) <= FEAS_TOL * scale
+            gap = np.linalg.norm(R.extreme_point(eta) - cold.extreme_point(eta))
+            assert gap <= FEAS_TOL * scale
+
+
+def test_footprint_is_independent_of_direction_order(det_toy):
+    # the same footprint queried in two orders on fresh tubes gives
+    # bitwise-identical points
+    scn, dyn, X, U, Xf, tube = det_toy
+    angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+    etas = [np.array([np.cos(a), np.sin(a)]) for a in angles]
+    forward = _footprints(_fresh(tube), U, dyn, scn)
+    backward = _footprints(_fresh(tube), U, dyn, scn)
+    for (_, R1), (_, R2) in zip(forward, backward):
+        p1 = [R1.extreme_point(eta) for eta in etas]
+        p2 = [R2.extreme_point(eta) for eta in reversed(etas)][::-1]
+        for a, b in zip(p1, p2):
+            assert np.array_equal(a, b)
+
+
+def test_footprint_outside_the_set_is_a_certified_empty_slice(det_toy, monkeypatch):
+    # a cost below the least one at this state leaves the slice empty;
+    # the warm reference LP proves it with a checked Farkas ray
+    scn, dyn, X, U, Xf, tube = det_toy
+    fresh = _fresh(tube)
+    rec = forward_rollout(scn.initial_state(), fresh, U, dyn).records[0]
+    verdicts = []
+    farkas = lp.farkas_certifies
+
+    def spy(prob, ray, rows=None):
+        verdicts.append(farkas(prob, ray, rows))
+        return verdicts[-1]
+
+    monkeypatch.setattr(lp, "farkas_certifies", spy)
+    state = rec.state.copy()
+    state[-1] -= 0.01
+    with pytest.raises(EmptySliceError):
+        instantaneous_reachable(state[:2], state[2:], fresh, rec.k, np.zeros(2), dyn=dyn)
+    assert verdicts and verdicts[-1]
+
+
+def test_footprint_reference_lp_failure_is_an_lp_error(det_toy, monkeypatch):
+    scn, dyn, X, U, Xf, tube = det_toy
+    rec = forward_rollout(scn.initial_state(), tube, U, dyn).records[0]
+    fresh = _fresh(tube)
+    monkeypatch.setattr(czset, "solve_lp",
+                        lambda prob, method="highs", basis=None: LpSolution(LpStatus.NUMERICAL_FAILURE))
+    with pytest.raises(LpError):
+        instantaneous_reachable(rec.state[:2], rec.state[2:], fresh, rec.k, np.zeros(2), dyn=dyn)
 
 
 # -- decision-deferral rollout ---------------------------------------------

@@ -10,7 +10,6 @@ from cztube.landing import (
     STATE_DIM,
     Z_IDX,
     LandingScenario,
-    build_constraint_sets,
     build_control_set,
     build_state_set,
     build_terminal_set,
@@ -129,9 +128,11 @@ def test_terminal_set_pinned_coordinates():
 
 def test_constraint_sets_bundle():
     scn = make_scn(n_points=14)
-    cs = build_constraint_sets(scn)
-    assert cs.state_set.dim == STATE_DIM
-    assert cs.control_set.dim == 4
-    assert cs.terminal_set.dim == STATE_DIM
-    assert not cs.state_set.is_empty()
-    assert not cs.control_set.is_empty()
+    state_set = build_state_set(scn)
+    control_set = build_control_set(scn)
+    terminal_set = build_terminal_set(scn)
+    assert state_set.dim == STATE_DIM
+    assert control_set.dim == 4
+    assert terminal_set.dim == STATE_DIM
+    assert not state_set.is_empty()
+    assert not control_set.is_empty()

@@ -194,8 +194,8 @@ def certificate_spy(monkeypatch):
     """Record every verdict of farkas_certifies made inside solve_lp."""
     verdicts = []
 
-    def spy(prob, ray):
-        ok = farkas_certifies(prob, ray)
+    def spy(prob, ray, rows=None):
+        ok = farkas_certifies(prob, ray, rows)
         verdicts.append(ok)
         return ok
 
@@ -368,6 +368,44 @@ def test_warm_start_matches_cold_solve():
                     1.0, abs(cold.objective_value))
                 assert _feasibility_residual(prob, warm.x_opt) <= FEAS_TOL
     assert seen == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+
+
+def test_warm_start_from_a_dual_feasible_basis_stays_dual_simplex(monkeypatch):
+    # a warm run lets HiGHS choose the simplex variant; from a basis that
+    # is dual but not primal feasible it picks dual simplex, so the run
+    # is the one that dual simplex forced by name makes
+    rng = np.random.default_rng(26)
+    chosen, forced = [], []
+    for _ in range(10):
+        at, f0 = _rhs_family(rng, n=30, m=12)
+        basis = solve_lp(at(f0)).basis
+        prob = at(f0 + rng.normal(size=f0.size))
+        chosen.append(lp.linprog(prob, "highs", basis))
+        with monkeypatch.context() as m:
+            m.setattr(lp, "_WARM_OPTIONS", {"simplex_strategy": 1})
+            forced.append(lp.linprog(prob, "highs", basis))
+    assert any(run.nit > 0 for run in forced)
+    for a, b in zip(chosen, forced):
+        assert a.status == b.status and a.nit == b.nit
+        if a.x is not None:
+            assert np.array_equal(a.x, b.x)
+
+
+def test_warm_start_from_a_primal_feasible_basis():
+    # the optimal basis of one objective is primal feasible for any other
+    # over the same rows: the warm run agrees with a cold one
+    rng = np.random.default_rng(27)
+    for _ in range(10):
+        at, f = _rhs_family(rng, n=30, m=12)
+        basis = solve_lp(at(f)).basis
+        prob = at(f)
+        prob.c_obj = rng.normal(size=prob.n_vars)
+        cold = solve_lp(prob)
+        warm = solve_lp(prob, basis=basis)
+        assert warm.status == cold.status == LpStatus.OPTIMAL
+        assert abs(warm.objective_value - cold.objective_value) <= FEAS_TOL * max(
+            1.0, abs(cold.objective_value))
+        assert _feasibility_residual(prob, warm.x_opt) <= FEAS_TOL
 
 
 def test_basis_of_the_wrong_shape_is_rejected():
