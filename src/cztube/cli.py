@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -147,6 +148,17 @@ def _build_deterministic(scn):
     return dyn, X, U, Xf
 
 
+def _step_printer(label):
+    """Progress callback for the recursions: one flushed line per set as
+    it is built, with the set's index as ``label`` gives it."""
+
+    def report(k, Z, seconds):
+        print(f"step {label(k)}: n_g={Z.n_generators} n_e={Z.n_constraints} s={seconds:.3f}",
+              flush=True)
+
+    return report
+
+
 def cmd_build_tube(args) -> int:
     cfg = parse_config(args.config)
     scn = scenario_from_config(cfg)
@@ -167,21 +179,26 @@ def cmd_build_tube(args) -> int:
         )
         dyn_wc = uncertainty.worst_case_depletion_dynamics(dyn, scn.alpha, schedule.R_u)
         result = tube_mod.robust_recursion(
-            dyn_wc, X, U_rob, Xf_full, schedule, scn.N, scenario_hash=digest
+            dyn_wc, X, U_rob, Xf_full, schedule, scn.N, scenario_hash=digest,
+            progress=_step_printer(str),
         )
     else:
         dyn, X, U, Xf = _build_deterministic(scn)
+        # the horizon is known only once the recursion ends, so the
+        # sets are numbered back from the terminal set CS_N
         result = tube_mod.deterministic_recursion(
-            dyn, X, U, Xf, max_N=args.max_n, scenario_hash=digest
+            dyn, X, U, Xf, max_N=args.max_n, scenario_hash=digest,
+            progress=_step_printer(lambda j: f"N-{j - 1}"),
         )
     elapsed = time.perf_counter() - t0
+    terminal = result.cs(result.N)
+    print(f"step {result.N if args.robust else 'N'}: n_g={terminal.n_generators} "
+          f"n_e={terminal.n_constraints} (terminal set)")
     tube_mod.serialize_tube(result, args.out)
     print(f"kind: {result.kind}")
     print(f"N: {result.N}")
-    for k in range(1, result.N + 1):
-        cs = result.cs(k)
-        print(f"  CS_{k}: n_g={cs.n_generators} n_e={cs.n_constraints}")
     print(f"wall_time_s: {elapsed:.2f}")
+    print(f"file_bytes: {os.path.getsize(args.out)}")
     print(f"tube written to {args.out}")
     return EXIT_OK
 
@@ -202,10 +219,18 @@ TRAJ_HEADER = ["k", "t", "rx", "ry", "rz", "vx", "vy", "vz", "z", "c",
                "ux", "uy", "uz", "sigma"]
 
 
+def _load_tube(path, kind: str):
+    """The tube stored at path; ConfigError unless it is of ``kind``."""
+    loaded = tube_mod.deserialize_tube(path)
+    if loaded.kind != kind:
+        raise ConfigError(f"{path} holds a {loaded.kind} tube; this command needs a {kind} one")
+    return loaded
+
+
 def cmd_rollout(args) -> int:
     cfg = parse_config(args.config)
     scn = scenario_from_config(cfg)
-    loaded = tube_mod.deserialize_tube(args.tube)
+    loaded = _load_tube(args.tube, "deterministic")
     dyn = discretize(scn)
     U = landing.build_control_set(scn)
     x_i = scn.initial_state()
@@ -228,7 +253,7 @@ def cmd_rollout(args) -> int:
 def cmd_reach(args) -> int:
     cfg = parse_config(args.config)
     scn = scenario_from_config(cfg)
-    loaded = tube_mod.deserialize_tube(args.tube)
+    loaded = _load_tube(args.tube, "deterministic")
     if not 1 <= args.step <= loaded.N:
         raise ConfigError(f"--step {args.step} outside 1..{loaded.N}")
     dyn = discretize(scn)
@@ -277,7 +302,7 @@ def cmd_montecarlo(args) -> int:
     cfg = parse_config(args.config)
     scn = scenario_from_config(cfg)
     model = uncertainty_from_config(cfg)
-    loaded = tube_mod.deserialize_tube(args.tube)
+    loaded = _load_tube(args.tube, "robust")
     dyn = discretize(scn)
     schedule = uncertainty.build_disturbance_schedule(model, dyn, loaded.N)
     U_rob = uncertainty.robustify_control_set(scn, schedule.R_u)

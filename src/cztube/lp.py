@@ -193,10 +193,17 @@ class LpSolution:
     def basis(self) -> Optional[LpBasis]:
         """The optimal basis of a simplex run, None after any other run.
         Read from HiGHS's ``getBasis()`` only when asked for, since
-        converting it costs about as much as a small solve."""
+        converting it costs about as much as a small solve.  Its entries
+        are the module's status singletons, as in a basis decoded by
+        ``LpBasis.from_codes``, not one new status object per entry."""
         if self.highs_basis is None:
             return None
-        return LpBasis(tuple(self.highs_basis.col_status), tuple(self.highs_basis.row_status))
+        return LpBasis(_shared_statuses(self.highs_basis.col_status),
+                       _shared_statuses(self.highs_basis.row_status))
+
+
+def _shared_statuses(statuses) -> tuple:
+    return tuple(_STATUSES[int(s)] for s in statuses)
 
 
 def _row_scale(M, rhs):

@@ -12,11 +12,30 @@ the optimal basis of its support LP in the direction of least cost-to-go,
 and the tube file stores it.  The online queries warm-start from these
 bases (see ``cztube.guidance``) and never compute one themselves, so a
 process that loads a tube and lands once gets the warm starts too.
+
+Tube file, format version 3 (all little-endian):
+
+- ``CZTB``, then ``<IBId`` (version, kind code, N, dt), then the 32-byte
+  scenario digest;
+- per set CS_1 ... CS_N: ``<IIIQ`` (n, n_g, n_e, nnz of A); G (n x n_g
+  ``<f8``, row-major) and c (n ``<f8``); A in canonical CSR form
+  (duplicates summed, no stored zeros, column indices strictly
+  increasing within each row) as ``indptr`` (n_e + 1 ``<i8``),
+  ``indices`` (nnz ``<i4``) and ``data`` (nnz ``<f8``); b (n_e ``<f8``);
+  then the basis block: one flag byte, and when it is 1 one uint8 HiGHS
+  status code per latent column and per latent row.
+
+A is sparse by construction (the block rows of intersections and
+Minkowski sums), about 2% dense on the deterministic landing tube, so
+the N=46 tube takes 22 MB instead of the 441 MB of a dense A.  Version
+2 files (``<III`` dimensions, A dense n_e x n_g) and version 1 files
+(the same without the basis block) still load.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 import time
 from dataclasses import dataclass
@@ -38,7 +57,7 @@ from .lp import LpBasis
 from .uncertainty import DisturbanceSchedule
 
 TUBE_MAGIC = b"CZTB"
-TUBE_VERSION = 2  # 1: the same without the per-set basis block
+TUBE_VERSION = 3  # 2: A stored dense; 1: also without the per-set basis block
 _KINDS = ("deterministic", "robust")
 
 
@@ -226,41 +245,87 @@ def make_full_dim_terminal(
 # -- serialization ---------------------------------------------------------
 
 
-def _write_array(fh, arr: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+def _write_array(fh, arr: np.ndarray, dtype: str = "<f8") -> None:
+    fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
 
 
-def _read_exact(fh, size: int) -> bytes:
-    raw = fh.read(size)
-    if len(raw) != size:
+def _read_exact(fh, size: int) -> bytearray:
+    # checked against the file size first, so a corrupt count cannot
+    # allocate past the end of the file
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError("tube file truncated")
-    return raw
+    buf = bytearray(size)
+    if fh.readinto(buf) != size:
+        raise ValueError("tube file truncated")
+    return buf
 
 
-def _read_array(fh, count: int) -> np.ndarray:
-    return np.frombuffer(_read_exact(fh, count * 8), dtype="<f8").copy()
+def _read_array(fh, count: int, dtype: str = "<f8") -> np.ndarray:
+    dtype = np.dtype(dtype)
+    return np.frombuffer(_read_exact(fh, count * dtype.itemsize), dtype=dtype)
+
+
+def _canonical_csr(A) -> sp.csr_matrix:
+    """A copy of A in canonical CSR form (duplicates summed, explicit
+    zeros dropped, indices sorted): the matrix ``sp.csr_matrix(A.toarray())``
+    gives, without the dense copy."""
+    A = sp.csr_matrix(A, dtype=float, copy=True)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    return A
+
+
+def _read_csr(fh, n_e: int, n_g: int, nnz: int) -> sp.csr_matrix:
+    """The CSR block of a version-3 set, validated as canonical."""
+    indptr = _read_array(fh, n_e + 1, "<i8")
+    indices = _read_array(fh, nnz, "<i4")
+    data = _read_array(fh, nnz)
+    if indptr[0] != 0 or indptr[-1] != nnz or np.any(np.diff(indptr) < 0):
+        raise ValueError("corrupt tube constraint matrix: bad row pointers")
+    if nnz and (indices.min() < 0 or indices.max() >= n_g):
+        raise ValueError("corrupt tube constraint matrix: column index out of range")
+    # consecutive entries of one row must have increasing columns; the
+    # pairs that straddle a row start are exempt
+    within_row = np.ones(max(nnz - 1, 0), dtype=bool)
+    starts = indptr[1:-1]
+    within_row[starts[(starts > 0) & (starts < nnz)] - 1] = False
+    if np.any(np.diff(indices)[within_row] <= 0):
+        raise ValueError("corrupt tube constraint matrix: unsorted or duplicate column index")
+    if np.any(data == 0):
+        raise ValueError("corrupt tube constraint matrix: stored zero")
+    return sp.csr_matrix((data, indices, indptr), shape=(n_e, n_g))
 
 
 def serialize_tube(tube: ControllableTube, path) -> None:
-    """Write the tube; each set is followed by its canonical min-cost
-    basis (one flag byte, then one HiGHS status code per latent column
-    and per latent row), computed here if the set has none yet."""
+    """Write the tube in format version 3 (see the module docstring).
+
+    Each set's A is written in canonical CSR form, taken from a copy, so
+    a set whose A holds explicit zeros or unsorted indices writes the
+    same bytes as its canonical equal and as its reload.  Each set is
+    followed by its canonical min-cost basis (one flag byte, then one
+    HiGHS status code per latent column and per latent row), computed
+    here if the set has none yet."""
     with open(path, "wb") as fh:
         fh.write(TUBE_MAGIC)
         fh.write(struct.pack("<IBId", TUBE_VERSION, _KINDS.index(tube.kind), tube.N, tube.dt))
         fh.write(tube.scenario_hash)
         for Z in tube.sets:
             n, n_g, n_e = Z.dim, Z.n_generators, Z.n_constraints
-            fh.write(struct.pack("<III", n, n_g, n_e))
+            A = _canonical_csr(Z.A)
+            fh.write(struct.pack("<IIIQ", n, n_g, n_e, A.nnz))
             _write_array(fh, Z.G)
             _write_array(fh, Z.c)
-            _write_array(fh, Z.A.toarray())
+            _write_array(fh, A.indptr, "<i8")
+            _write_array(fh, A.indices, "<i4")
+            _write_array(fh, A.data)
             _write_array(fh, Z.b)
             basis = attach_cost_basis(Z).support_basis(min_cost_direction(n), compute=False)
             fh.write(b"\x00" if basis is None else b"\x01" + basis.codes().tobytes())
 
 
 def deserialize_tube(path) -> ControllableTube:
+    """Load a tube file of format version 1, 2 or 3; ValueError names
+    what is wrong with a file that is not a well-formed tube."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != TUBE_MAGIC:
@@ -269,27 +334,29 @@ def deserialize_tube(path) -> ControllableTube:
         if len(header) != struct.calcsize("<IBId"):
             raise ValueError("tube file truncated")
         version, kind_code, N, dt = struct.unpack("<IBId", header)
-        if version not in (1, TUBE_VERSION):
+        if version not in (1, 2, TUBE_VERSION):
             raise ValueError(f"unsupported tube format version {version}")
         if kind_code >= len(_KINDS) or N < 1:
             raise ValueError("corrupt tube header")
         digest = fh.read(32)
         if len(digest) != 32:
             raise ValueError("tube file truncated")
+        dims_fmt = "<IIIQ" if version >= 3 else "<III"
         sets = []
         for _ in range(N):
-            dims = fh.read(12)
-            if len(dims) != 12:
-                raise ValueError("tube file truncated")
-            n, n_g, n_e = struct.unpack("<III", dims)
+            dims = struct.unpack(dims_fmt, _read_exact(fh, struct.calcsize(dims_fmt)))
+            n, n_g, n_e = dims[:3]
             G = _read_array(fh, n * n_g).reshape(n, n_g)
             c = _read_array(fh, n)
-            A = _read_array(fh, n_e * n_g).reshape(n_e, n_g)
+            if version >= 3:
+                A = _read_csr(fh, n_e, n_g, dims[3])
+            else:
+                A = sp.csr_matrix(_read_array(fh, n_e * n_g).reshape(n_e, n_g))
             b = _read_array(fh, n_e)
-            Z = ConstrainedZonotope(G, c, sp.csr_matrix(A), b)
+            Z = ConstrainedZonotope(G, c, A, b)
             flag = _read_exact(fh, 1) if version > 1 else b"\x00"
             if flag == b"\x01":
-                codes = np.frombuffer(_read_exact(fh, n_g + n_e), dtype=np.uint8)
+                codes = _read_array(fh, n_g + n_e, "u1")
                 try:
                     Z.attach_support_basis(min_cost_direction(n), LpBasis.from_codes(codes, n_g))
                 except ValueError as err:

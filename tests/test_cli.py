@@ -1,5 +1,10 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import contextlib
+import io
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,6 +16,7 @@ from cztube.cli import (
     main,
     parse_config,
 )
+from cztube.tube import deserialize_tube
 
 DET_CFG = """
 # short-hop deterministic landing, coarse thrust lattice
@@ -57,22 +63,34 @@ def rob_cfg(tmp_path_factory):
     return path
 
 
-@pytest.fixture(scope="module")
-def det_tube(det_cfg, tmp_path_factory):
-    path = tmp_path_factory.mktemp("tube") / "det.cztb"
-    code = main(["build-tube", "--config", str(det_cfg), "--max-n", "8",
-                 "--out", str(path)])
+def _build_tube(tmp_path_factory, name, *argv):
+    """Run build-tube; its output file and what it printed."""
+    path = tmp_path_factory.mktemp("tube") / name
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["build-tube", *argv, "--out", str(path)])
     assert code == EXIT_OK
-    return path
+    return SimpleNamespace(path=path, stdout=out.getvalue())
 
 
 @pytest.fixture(scope="module")
-def rob_tube(rob_cfg, tmp_path_factory):
-    path = tmp_path_factory.mktemp("tube") / "rob.cztb"
-    code = main(["build-tube", "--config", str(rob_cfg), "--robust",
-                 "--out", str(path)])
-    assert code == EXIT_OK
-    return path
+def det_build(det_cfg, tmp_path_factory):
+    return _build_tube(tmp_path_factory, "det.cztb", "--config", str(det_cfg), "--max-n", "8")
+
+
+@pytest.fixture(scope="module")
+def rob_build(rob_cfg, tmp_path_factory):
+    return _build_tube(tmp_path_factory, "rob.cztb", "--config", str(rob_cfg), "--robust")
+
+
+@pytest.fixture(scope="module")
+def det_tube(det_build):
+    return det_build.path
+
+
+@pytest.fixture(scope="module")
+def rob_tube(rob_build):
+    return rob_build.path
 
 
 def read_csv(path):
@@ -124,6 +142,18 @@ def test_build_tube_robust_requires_uncertainty(det_cfg, tmp_path, capsys):
     assert "uncertainty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("build", ["det_build", "rob_build"])
+def test_build_tube_reports_each_set_and_the_file_size(build, request):
+    built = request.getfixturevalue(build)
+    n = deserialize_tube(built.path).N
+    lines = built.stdout.splitlines()
+    steps = [ln for ln in lines if re.fullmatch(r"step \S+: n_g=\d+ n_e=\d+ .+", ln)]
+    # one line per set, the terminal set last
+    assert len(steps) == n and "terminal" in steps[-1]
+    assert f"N: {n}" in lines
+    assert f"file_bytes: {built.path.stat().st_size}" in lines
+
+
 def test_rollout_monotone_altitude_and_mass(det_cfg, det_tube, tmp_path):
     out = tmp_path / "traj.csv"
     code = main(["rollout", "--config", str(det_cfg), "--tube", str(det_tube),
@@ -166,6 +196,27 @@ def test_rollout_unreachable_start(det_tube, tmp_path, capsys):
                  "--out", str(tmp_path / "t.csv")])
     assert code == EXIT_INFEASIBLE_QUERY
     assert "outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["rollout", "reach"])
+def test_deterministic_commands_reject_a_robust_tube(command, det_cfg, rob_tube, tmp_path,
+                                                     capsys):
+    extra = ["--step", "1"] if command == "reach" else []
+    code = main([command, "--config", str(det_cfg), "--tube", str(rob_tube),
+                 *extra, "--out", str(tmp_path / "o.csv")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "robust" in err and "deterministic" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_montecarlo_rejects_a_deterministic_tube(rob_cfg, det_tube, tmp_path, capsys):
+    code = main(["montecarlo", "--config", str(rob_cfg), "--tube", str(det_tube),
+                 "--trials", "1", "--out", str(tmp_path / "mc.csv")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "robust" in err and "deterministic" in err
+    assert not (tmp_path / "mc.csv").exists()
 
 
 def test_reach_step_bounds(det_cfg, det_tube, tmp_path, capsys):

@@ -348,6 +348,19 @@ def test_optimal_simplex_run_reports_its_basis():
     assert abs(ipm.objective_value - sol.objective_value) <= 1e-7
 
 
+def test_solution_basis_shares_the_status_singletons():
+    # like a basis decoded from a tube file, a basis read from a solve
+    # holds the module's few status objects, not one object per entry
+    at, f = _rhs_family(np.random.default_rng(26), n=200, m=40)
+    sol = solve_lp(at(f))
+    basis = sol.basis
+    assert len(basis.cols) == 200
+    assert len({id(s) for s in basis.cols + basis.rows}) <= len(lp._STATUSES)
+    raw = sol.highs_basis
+    assert basis == LpBasis(tuple(raw.col_status), tuple(raw.row_status))
+    assert basis == LpBasis.from_codes(basis.codes(), 200)
+
+
 def test_warm_start_matches_cold_solve():
     # the optimal basis of one rhs stays dual feasible for every other
     # rhs; warm and cold agree on the verdict and the optimum, and a warm

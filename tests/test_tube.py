@@ -216,13 +216,8 @@ def test_scenario_digest_sensitivity():
     assert scenario_digest(LandingScenario()) == a
 
 
-def test_serialization_roundtrip_bitwise(tmp_path):
-    dyn = toy_integrator()
-    X, U = interval(-5.0, 5.0), interval(-1.0, 1.0)
-    Xf = ConstrainedZonotope(np.zeros((1, 0)), np.zeros(1))
-    tube = deterministic_recursion(dyn, X, U, Xf, max_N=4,
-                                   scenario_hash=hashlib.sha256(b"toy").digest())
-    path = tmp_path / "toy.tube"
+def _assert_roundtrip_bitwise(tube, tmp_path):
+    path = tmp_path / "tube.cztb"
     serialize_tube(tube, path)
     back = deserialize_tube(path)
     assert back.kind == tube.kind and back.N == tube.N and back.dt == tube.dt
@@ -233,9 +228,56 @@ def test_serialization_roundtrip_bitwise(tmp_path):
         assert np.array_equal(Z.A.toarray(), W.A.toarray())
         assert np.array_equal(Z.b, W.b)
     # serializing the reloaded tube reproduces the file byte-for-byte
-    path2 = tmp_path / "toy2.tube"
+    path2 = tmp_path / "again.cztb"
     serialize_tube(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_serialization_roundtrip_bitwise(tmp_path):
+    dyn = toy_integrator()
+    X, U = interval(-5.0, 5.0), interval(-1.0, 1.0)
+    Xf = ConstrainedZonotope(np.zeros((1, 0)), np.zeros(1))
+    tube = deterministic_recursion(dyn, X, U, Xf, max_N=4,
+                                   scenario_hash=hashlib.sha256(b"toy").digest())
+    _assert_roundtrip_bitwise(tube, tmp_path)
+
+
+def _landing_toy_tube():
+    """The 8-state, 12-set toy tube of acceptance criterion 02."""
+    B = np.zeros((8, 2))
+    B[0, 0], B[7, 1] = 1.0, -1.0
+    dyn = DiscreteDynamics(A=np.eye(8), B=B, d=np.zeros(8), dt=1.0)
+    U = ConstrainedZonotope.from_vertices(np.array([[-1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]))
+    GX = np.zeros((8, 2))
+    GX[0, 0], GX[7, 1] = 10.0, 10.0
+    X = ConstrainedZonotope(GX, np.array([0, 0, 0, 0, 0, 0, 0, 10.0]))
+    Xf = ConstrainedZonotope(np.zeros((8, 0)), np.zeros(8))
+    return deterministic_recursion(dyn, X, U, Xf, max_N=12)
+
+
+def test_landing_toy_roundtrip_bitwise(tmp_path):
+    _assert_roundtrip_bitwise(_landing_toy_tube(), tmp_path)
+
+
+def test_noncanonical_constraint_matrix_writes_its_canonical_form(tmp_path):
+    # A = [[1, 2, 0], [0, 1, 1]] with an explicit zero and unsorted
+    # indices in its first row
+    A = sp.csr_matrix(
+        (np.array([2.0, 0.0, 1.0, 1.0, 1.0]), np.array([1, 2, 0, 1, 2]), np.array([0, 3, 5])),
+        shape=(2, 3),
+    )
+    args = (np.array([[1.0, 0.5, 0.25]]), np.zeros(1), A, np.array([0.5, 0.2]))
+    raw = ConstrainedZonotope(*args)
+    canonical = ConstrainedZonotope(args[0], args[1], sp.csr_matrix(A.toarray()), args[3])
+    paths = tmp_path / "canonical.cztb", tmp_path / "raw.cztb"
+    serialize_tube(ControllableTube([canonical], 1.0, "deterministic"), paths[0])
+    # the equal set's basis, so that no LP is built from the raw A
+    eta = min_cost_direction(1)
+    raw.attach_support_basis(eta, canonical.support_basis(eta, compute=False))
+    serialize_tube(ControllableTube([raw], 1.0, "deterministic"), paths[1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    # the set itself is left as it was
+    assert raw.A.nnz == 5 and raw.A.indices.tolist() == [1, 2, 0, 1, 2]
 
 
 def _toy_tube():
@@ -269,6 +311,82 @@ def test_version_1_tube_file_loads_without_bases(tmp_path):
     W = back.cs(1)
     assert np.array_equal(W.G, Z.G) and np.array_equal(W.c, Z.c)
     assert W.support_basis(min_cost_direction(1), compute=False) is None
+
+
+def _version_2_bytes(tube):
+    """The tube in format version 2: A dense, then the basis block."""
+    raw = b"CZTB" + struct.pack("<IBId", 2, 0, tube.N, tube.dt) + tube.scenario_hash
+    for Z in tube.sets:
+        basis = Z.support_basis(min_cost_direction(Z.dim), compute=False)
+        raw += struct.pack("<III", Z.dim, Z.n_generators, Z.n_constraints)
+        raw += Z.G.tobytes() + Z.c.tobytes() + Z.A.toarray().tobytes() + Z.b.tobytes()
+        raw += b"\x00" if basis is None else b"\x01" + basis.codes().tobytes()
+    return raw
+
+
+def test_version_2_tube_file_loads_like_its_version_3_rewrite(tmp_path):
+    v2 = tmp_path / "v2.cztb"
+    v2.write_bytes(_version_2_bytes(_landing_toy_tube()))
+    old = deserialize_tube(v2)
+    v3 = tmp_path / "v3.cztb"
+    serialize_tube(old, v3)
+    assert struct.unpack_from("<I", v3.read_bytes(), 4)[0] == 3
+    new = deserialize_tube(v3)
+    eta = min_cost_direction(8)
+    for Z, W in zip(old.sets, new.sets):
+        for a, b in ((Z.G, W.G), (Z.c, W.c), (Z.A.indptr, W.A.indptr),
+                     (Z.A.indices, W.A.indices), (Z.A.data, W.A.data), (Z.b, W.b)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert Z.A.indices.dtype == np.int32 and Z.A.indptr.dtype == np.int32
+        assert Z.support_basis(eta, compute=False) == W.support_basis(eta, compute=False)
+    assert all(W.support_basis(eta, compute=False) is not None for W in new.sets[:-1])
+
+
+def _csr_tube_file(tmp_path):
+    """A one-set file whose A is [[1, 2, 0, 0], [0, 1, 1, 0], [0, 0, 1, 3]],
+    and the byte offsets of its nnz field, indptr, indices and data."""
+    A = np.array([[1.0, 2.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 3.0]])
+    G = np.array([[1.0, 1.0, 1.0, 1.0]])
+    Z = ConstrainedZonotope(G, np.zeros(1), A, A @ np.array([0.1, 0.2, 0.0, 0.1]))
+    path = tmp_path / "t.cztb"
+    serialize_tube(ControllableTube([Z], 1.0, "deterministic"), path)
+    nnz_at = 4 + struct.calcsize("<IBId") + 32 + 12
+    indptr_at = nnz_at + 8 + 8 * (4 + 1)
+    indices_at = indptr_at + 8 * 4
+    data_at = indices_at + 4 * 6
+    return path, {"nnz": nnz_at, "indptr": indptr_at, "indices": indices_at, "data": data_at}
+
+
+def test_csr_tube_file_layout(tmp_path):
+    path, at = _csr_tube_file(tmp_path)
+    raw = path.read_bytes()
+    assert struct.unpack_from("<Q", raw, at["nnz"])[0] == 6
+    assert np.frombuffer(raw, "<i8", 4, at["indptr"]).tolist() == [0, 2, 4, 6]
+    assert np.frombuffer(raw, "<i4", 6, at["indices"]).tolist() == [0, 1, 1, 2, 2, 3]
+    assert np.frombuffer(raw, "<f8", 6, at["data"]).tolist() == [1, 2, 1, 1, 1, 3]
+    W = deserialize_tube(path).cs(1)
+    assert W.A.toarray().tolist() == [[1, 2, 0, 0], [0, 1, 1, 0], [0, 0, 1, 3]]
+
+
+@pytest.mark.parametrize("field, fmt, index, value", [
+    ("indptr", "<q", 0, 1),           # does not start at 0
+    ("indptr", "<q", 1, 5),           # decreases
+    ("indptr", "<q", 3, 5),           # ends before nnz
+    ("indices", "<i", 5, 4),          # column n_g
+    ("indices", "<i", 0, -1),         # negative column
+    ("indices", "<i", 0, 1),          # duplicate column in a row
+    ("indices", "<i", 3, 1),          # unsorted columns in a row
+    ("data", "<d", 2, 0.0),           # stored zero
+    ("nnz", "<Q", 0, 1 << 40),        # entries run past the end of the file
+])
+def test_serialization_rejects_corrupt_constraint_matrix(tmp_path, field, fmt, index, value):
+    path, at = _csr_tube_file(tmp_path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into(fmt, raw, at[field] + index * struct.calcsize(fmt), value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError):
+        deserialize_tube(path)
 
 
 @pytest.mark.parametrize("payload", [b"\x02", b"\x01\x09", b"\x01\x01"])
