@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible build,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -169,15 +170,10 @@ def cmd_build_tube(args) -> int:
             raise ConfigError("robust build requires the uncertainty config block")
         if scn.N is None:
             raise ConfigError("robust build requires scenario.N")
-        model = uncertainty_from_config(cfg)
-        dyn = discretize(scn)
-        schedule = uncertainty.build_disturbance_schedule(model, dyn, scn.N)
-        X = landing.build_state_set(scn)
-        U_rob = uncertainty.robustify_control_set(scn, schedule.R_u)
-        Xf_full = tube_mod.make_full_dim_terminal(
-            scn, pre_steps=int(cfg.get("tube.pre_steps", 2))
+        _, schedule, U_rob, Xf_full, dyn_wc = tube_mod.robust_parts(
+            scn, uncertainty_from_config(cfg), int(cfg.get("tube.pre_steps", 2))
         )
-        dyn_wc = uncertainty.worst_case_depletion_dynamics(dyn, scn.alpha, schedule.R_u)
+        X = landing.build_state_set(scn)
         result = tube_mod.robust_recursion(
             dyn_wc, X, U_rob, Xf_full, schedule, scn.N, scenario_hash=digest,
             progress=_step_printer(str),
@@ -303,11 +299,10 @@ def cmd_montecarlo(args) -> int:
     scn = scenario_from_config(cfg)
     model = uncertainty_from_config(cfg)
     loaded = _load_tube(args.tube, "robust")
-    dyn = discretize(scn)
-    schedule = uncertainty.build_disturbance_schedule(model, dyn, loaded.N)
-    U_rob = uncertainty.robustify_control_set(scn, schedule.R_u)
-    Xf_full = tube_mod.make_full_dim_terminal(
-        scn, pre_steps=int(cfg.get("tube.pre_steps", 2))
+    # the schedule spans the loaded tube's horizon
+    scn = dataclasses.replace(scn, N=loaded.N)
+    dyn, schedule, U_rob, Xf_full, _ = tube_mod.robust_parts(
+        scn, model, int(cfg.get("tube.pre_steps", 2))
     )
     summary = guidance.monte_carlo(
         scn, loaded, model, schedule, U_rob, Xf_full, dyn, args.trials, args.seed

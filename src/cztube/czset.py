@@ -25,7 +25,6 @@ from .lp import (
     LpBasis,
     LpError,
     LpStatus,
-    check_feasibility,
     solve_lp,
 )
 
@@ -51,12 +50,27 @@ def _basis_key(eta):
     return ("support_basis", (eta + 0.0).tobytes())
 
 
-def _csr(M, shape=None):
-    if sp.issparse(M):
-        return M.tocsr()
-    if M is None:
-        return sp.csr_matrix(shape)
-    return sp.csr_matrix(np.atleast_2d(np.asarray(M, dtype=float)))
+def min_cost_direction(dim: int) -> np.ndarray:
+    """Support direction of least cost-to-go, the last coordinate of the
+    augmented state: the support LP in it minimizes the cost."""
+    eta = np.zeros(dim)
+    eta[-1] = -1.0
+    return eta
+
+
+def _canonical_csr(M) -> sp.csr_matrix:
+    """M as a float CSR matrix in canonical form (duplicates summed, no
+    stored zeros, sorted indices).  A sparse M in that form already is
+    used as it is; any other is copied first, so M never changes."""
+    if not sp.issparse(M):
+        return sp.csr_matrix(np.atleast_2d(np.asarray(M, dtype=float)))
+    A = M.tocsr()
+    if A.dtype == np.float64 and A.has_canonical_format and A.data.all():
+        return A
+    A = sp.csr_matrix(A, dtype=float, copy=True)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    return A
 
 
 @dataclass
@@ -77,9 +91,13 @@ class ConstrainedZonotope:
     """CG-rep set {G xi + c : ||xi||_inf <= 1, A xi = b}.
 
     G is dense n x n_g, c is length n, A is sparse n_e x n_g, b is
-    length n_e.  Instances are treated as immutable; every operation
-    returns a new object.  Latent columns that appear in neither G nor
-    A are pruned at construction.  Values derived from a set, such as
+    length n_e.  A is in canonical CSR form from construction
+    (duplicates summed, no stored zeros, column indices sorted within
+    each row), so a latent column that appears in neither G nor A is
+    one with no stored entry, and is pruned at construction.  Instances
+    are treated as immutable; every operation returns a new object, and
+    no LP over a set changes its arrays.  Emptiness is settled by one
+    LP, a support LP (``is_empty``).  Values derived from a set, such as
     the canonical simplex bases that warm-start queries on its slices
     and on its affine images, are memoized on it (``cached``).
     """
@@ -101,7 +119,7 @@ class ConstrainedZonotope:
             A = sp.csr_matrix((0, n_g))
             b = np.zeros(0)
         else:
-            A = _csr(A, (0, n_g))
+            A = _canonical_csr(A)
             b = np.asarray(b, dtype=float).ravel()
         if A.shape[1] != n_g:
             raise ValueError("latent constraint column count does not match generators")
@@ -111,9 +129,7 @@ class ConstrainedZonotope:
         # prune latent columns unused by both G and A
         if n_g:
             used = np.abs(G).max(axis=0) > 0
-            if A.shape[0]:
-                col_nnz = np.diff(A.tocsc().indptr)
-                used |= col_nnz > 0
+            used[A.indices] = True
             if not used.all():
                 keep = np.flatnonzero(used)
                 G = G[:, keep]
@@ -358,38 +374,27 @@ class ConstrainedZonotope:
 
     # -- LP-backed queries -----------------------------------------------
 
-    def _latent_lp(self, c_obj) -> LinearProgram:
-        n_g = self.n_generators
-        return LinearProgram(
-            c_obj, E=self.A, f=self.b, lb=-np.ones(n_g), ub=np.ones(n_g)
-        )
-
     def is_empty(self, eta=None) -> bool:
-        """True iff the set is empty.  A feasibility LP decides it, or,
-        when eta is given, the support LP in direction eta, whose solve
-        also leaves the set's canonical basis in direction eta memoized
-        (``support_basis``); when that LP settles emptiness and ends
-        optimal, its basis is the set's ``latent_basis``.  Either way a
-        numerical failure raises LpError."""
-        if eta is not None and self.n_generators:
-            self.support_basis(eta)
-            if "empty" not in self._cache:
-                raise LpError("emptiness check failed numerically")
-
-        def solve():
-            sol = check_feasibility(self._latent_lp(np.zeros(self.n_generators)))
-            if sol.status == LpStatus.NUMERICAL_FAILURE:
-                raise LpError("emptiness check failed numerically")
-            return sol.status == LpStatus.INFEASIBLE
-
-        return self.cached("empty", solve)
+        """True iff the set is empty, settled by one LP: the support LP in
+        direction eta, by default the min-cost direction
+        (``min_cost_direction``).  Its solve leaves the set's canonical
+        basis in direction eta memoized (``support_basis``); when that LP
+        settles emptiness and ends optimal, its basis is the set's
+        ``latent_basis``.  An LP that settles nothing raises LpError
+        naming its status."""
+        self.support_basis(min_cost_direction(self.dim) if eta is None else eta)
+        if "empty" not in self._cache:
+            raise LpError(f"emptiness LP ended with status {self._cache['unsettled']}")
+        return self._cache["empty"]
 
     def _support_lp(self, eta) -> LinearProgram:
-        return self._latent_lp(-(self.G.T @ eta))
+        ones = np.ones(self.n_generators)
+        return LinearProgram(-(self.G.T @ eta), E=self.A, f=self.b, lb=-ones, ub=ones)
 
     def support_basis(self, eta, compute: bool = True):
         """Canonical optimal basis of the support LP in direction eta, or
-        None when that LP has no variables or no optimum.
+        None when that LP has no optimum or no variables (a set with no
+        generators, which ``solve_lp`` settles by inspection).
 
         The basis is the one a solve from ``_start_basis`` ends on (cold
         but for slices and images), memoized on the set, so it depends on
@@ -397,9 +402,10 @@ class ConstrainedZonotope:
         compute=False, which only reads the memo: they never pay for the
         cold solve.  The code that makes a set for repeated queries (the
         tube recursions, ``tube.deserialize_tube``) computes the basis,
-        through ``is_empty(eta)``, or restores it
-        (``attach_support_basis``).  The solve's verdict also settles
-        ``is_empty`` unless it is settled already.
+        through ``is_empty``, or restores it (``attach_support_basis``).
+        The solve's verdict also settles ``is_empty`` unless it is
+        settled already; a verdict that settles nothing is kept for
+        ``is_empty`` to report.
         """
         eta = np.asarray(eta, dtype=float).ravel()
         key = _basis_key(eta)
@@ -407,12 +413,11 @@ class ConstrainedZonotope:
             return self._cache.get(key)
 
         def solve():
-            if self.n_generators == 0:
-                return None
             sol = solve_lp(self._support_lp(eta), basis=self._start_basis(eta))
             basis = sol.basis if sol.status == LpStatus.OPTIMAL else None
-            settled = sol.status in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE)
-            if settled and "empty" not in self._cache:
+            if sol.status not in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE):
+                self._cache["unsettled"] = sol.status
+            elif "empty" not in self._cache:
                 self._cache["latent_basis"] = basis
                 self._cache["empty"] = sol.status == LpStatus.INFEASIBLE
             return basis

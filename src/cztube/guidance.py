@@ -13,10 +13,11 @@ The horizon scan and the one-step LPs are warm-started.  Across queries
 each of these LPs keeps its matrix and objective, and only the pinned
 physical state changes, so dual simplex starts from an optimal basis of
 the same LP with the state left free.  That basis is assembled from the
-canonical min-cost basis that every tube set carries from the build or
-the tube file (``tube.attach_cost_basis``); a query only reads it, never
-computes it, and never takes a basis from a previous query, so every
-answer is independent of the order of the queries before it.  The
+canonical min-cost basis that every tube set carries from the build,
+where its emptiness check leaves it (``ConstrainedZonotope.is_empty``),
+or from the tube file.  A query only reads it, never computes it, and
+never takes a basis from a previous query, so every answer is
+independent of the order of the queries before it.  The
 divert footprint (``instantaneous_reachable``) settles the emptiness of
 its slice with the slice's min-cost support LP, warm from the same
 basis, and every support LP of the footprint starts from that LP's
@@ -450,7 +451,7 @@ def instantaneous_reachable(
         raise ValueError("cyclic coordinates are not translation-invariant")
     cs = tube.cs(k)
     sliced = cs.slice(comp, x_comp_k, tol=tol)
-    if sliced.is_empty(min_cost_direction(STATE_DIM)):
+    if sliced.is_empty():
         raise EmptySliceError(
             f"non-cyclic state is outside the step-{k} controllable set"
         )
@@ -498,8 +499,8 @@ def ddto_rollout(
     # made once per call, with no canonical basis: a call queries each at
     # most a few times, too few to repay a solve for one.  A deferred
     # step's emptiness check of its target runs the min-cost support LP,
-    # cheaper than the zero-objective one, and so leaves the target's
-    # min-cost basis for the next step's slice of it.
+    # and so leaves the target's min-cost basis for the next step's slice
+    # of it.
     eff = [effective_tube_set(tube, k, delta) for k in range(1, tube.N + 1)]
     hq = _horizon_scan(eff, x_i, SLICE_TOL, "initial state is outside the effective tube")
     k_start, c_star = hq.k_star, hq.c_star
@@ -520,7 +521,7 @@ def ddto_rollout(
             c_here = _min_cost_at_state(eff[k - 1], state[: STATE_DIM - 1])
             if c_here is not None:
                 target = eff[k]
-                if not target.is_empty(min_cost_direction(STATE_DIM)):
+                if not target.is_empty():
                     try:
                         step_result = one_step_ocp(state, target, control_set, dyn)
                     except InfeasibleError:

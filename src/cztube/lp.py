@@ -418,8 +418,15 @@ def solve_lp(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis
       interior point), run cold, since degenerate boundary problems
       occasionally defeat one algorithm but not the other.
 
-    UNBOUNDED is passed on from the solver unchecked.  An optimal simplex
-    run carries its basis in ``LpSolution.basis``.
+    UNBOUNDED is passed on unchecked: no program built in this package
+    is unbounded.  Its latent columns are boxed to [-1, 1]; its free
+    columns are fixed by equality rows (state and cost-to-go of the
+    one-step and full-horizon LPs), bounded by the objective (the
+    containment LP's t >= 0, minimized) or boxed through rows (the
+    erosion LP's |Gamma| <= T <= 1).  So it is a solver fault, and every
+    caller raises ``LpError`` (exit code 5) on anything but OPTIMAL and
+    INFEASIBLE.  An optimal simplex run carries its basis in
+    ``LpSolution.basis``.
     """
     sol = _solve_once(prob, method, basis)
     if sol.status == LpStatus.NUMERICAL_FAILURE:
@@ -467,14 +474,6 @@ def _solve_once(prob: LinearProgram, method: str, basis: Optional[LpBasis] = Non
         np.minimum(run.col_dual, 0.0),
         run.basis,
     )
-
-
-def check_feasibility(prob: LinearProgram) -> LpSolution:
-    """Feasibility-only variant: solve with a zero objective."""
-    zero = LinearProgram(
-        np.zeros(prob.n_vars), prob.E, prob.f, prob.H, prob.g, prob.lb, prob.ub
-    )
-    return solve_lp(zero)
 
 
 def dump_lp(prob: LinearProgram, path) -> None:

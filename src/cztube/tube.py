@@ -7,9 +7,10 @@ CS_k = X ∩ A^-1(CS_{k+1} ⊕ (-B U - d)) builds the whole tube offline;
 the robust variant additionally erodes each set by the step's bounded
 disturbance before stepping backward.
 
-Each set is made with its canonical min-cost basis (``attach_cost_basis``),
-the optimal basis of its support LP in the direction of least cost-to-go,
-and the tube file stores it.  The online queries warm-start from these
+Each set is made with its canonical min-cost basis, the optimal basis of
+its support LP in the direction of least cost-to-go, which the set's
+emptiness check leaves behind (``ConstrainedZonotope.is_empty``), and the
+tube file stores it.  The online queries warm-start from these
 bases (see ``cztube.guidance``) and never compute one themselves, so a
 process that loads a tube and lands once gets the warm starts too.
 
@@ -18,9 +19,9 @@ Tube file, format version 3 (all little-endian):
 - ``CZTB``, then ``<IBId`` (version, kind code, N, dt), then the 32-byte
   scenario digest;
 - per set CS_1 ... CS_N: ``<IIIQ`` (n, n_g, n_e, nnz of A); G (n x n_g
-  ``<f8``, row-major) and c (n ``<f8``); A in canonical CSR form
-  (duplicates summed, no stored zeros, column indices strictly
-  increasing within each row) as ``indptr`` (n_e + 1 ``<i8``),
+  ``<f8``, row-major) and c (n ``<f8``); A in the canonical CSR form
+  every set holds (duplicates summed, no stored zeros, column indices
+  strictly increasing within each row) as ``indptr`` (n_e + 1 ``<i8``),
   ``indices`` (nnz ``<i4``) and ``data`` (nnz ``<f8``); b (n_e ``<f8``);
   then the basis block: one flag byte, and when it is 1 one uint8 HiGHS
   status code per latent column and per latent row.
@@ -44,7 +45,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .czset import ConstrainedZonotope, NotFullDimensionalError
+from .czset import ConstrainedZonotope, NotFullDimensionalError, min_cost_direction
 from .landing import (
     DiscreteDynamics,
     LandingScenario,
@@ -54,7 +55,13 @@ from .landing import (
     discretize,
 )
 from .lp import LpBasis
-from .uncertainty import DisturbanceSchedule
+from .uncertainty import (
+    DisturbanceSchedule,
+    UncertaintyModel,
+    build_disturbance_schedule,
+    robustify_control_set,
+    worst_case_depletion_dynamics,
+)
 
 TUBE_MAGIC = b"CZTB"
 TUBE_VERSION = 3  # 2: A stored dense; 1: also without the per-set basis block
@@ -97,24 +104,6 @@ class ControllableTube:
         return self.sets[k - 1]
 
 
-def min_cost_direction(dim: int) -> np.ndarray:
-    """Support direction of least cost-to-go, the last coordinate of the
-    augmented state: the support LP in it minimizes the cost."""
-    eta = np.zeros(dim)
-    eta[-1] = -1.0
-    return eta
-
-
-def attach_cost_basis(Z: ConstrainedZonotope) -> ConstrainedZonotope:
-    """Z, with its canonical min-cost basis computed and memoized.
-
-    The basis comes from the emptiness check: ``Z.is_empty`` settled by
-    the support LP in the min-cost direction, which costs less than the
-    zero-objective feasibility LP that settles it otherwise."""
-    Z.is_empty(min_cost_direction(Z.dim))
-    return Z
-
-
 def scenario_digest(scn: LandingScenario, **extra) -> bytes:
     """Stable 32-byte digest of the generating parameters."""
     h = hashlib.sha256()
@@ -154,12 +143,12 @@ def deterministic_recursion(
     The cost-to-go coordinate is bounded and strictly depleting, so the
     recursion terminates on its own; max_N only guards misconfiguration.
     """
-    if attach_cost_basis(terminal_set).is_empty():
+    if terminal_set.is_empty():
         raise ValueError("terminal set is empty")
     sets = [terminal_set]
     while len(sets) < max_N:
         t0 = time.perf_counter()
-        nxt = attach_cost_basis(backward_step(dyn, state_set, control_set, sets[-1]))
+        nxt = backward_step(dyn, state_set, control_set, sets[-1])
         if nxt.is_empty():
             break
         sets.append(nxt)
@@ -191,21 +180,19 @@ def robust_recursion(
     cs = terminal_set_fulldim.minrow_normalize().pontryagin_difference(
         schedule.outer_zonotopes[N - 1]
     )
-    cs = attach_cost_basis(cs.minrow_normalize())
+    cs = cs.minrow_normalize()
     if cs.is_empty():
         raise RobustInfeasibleError(N)
     sets = [cs]
     for k in range(N - 1, 0, -1):
         t0 = time.perf_counter()
         eroded = sets[-1].pontryagin_difference(schedule.outer_zonotopes[k - 1])
-        eroded = attach_cost_basis(eroded.minrow_normalize())
+        eroded = eroded.minrow_normalize()
         if eroded.is_empty():
             raise RobustInfeasibleError(k)
         if eroded_sink is not None:
             eroded_sink[k] = eroded
-        nxt = attach_cost_basis(
-            backward_step(dyn_worst_case, state_set, control_set_robust, eroded)
-        )
+        nxt = backward_step(dyn_worst_case, state_set, control_set_robust, eroded)
         if nxt.is_empty():
             raise RobustInfeasibleError(k)
         sets.append(nxt)
@@ -242,6 +229,19 @@ def make_full_dim_terminal(
     return cs
 
 
+def robust_parts(scn: LandingScenario, model: UncertaintyModel, pre_steps: int = 2):
+    """(dynamics, schedule over scn.N steps, robust control set,
+    full-dimensional terminal set, worst-case dynamics): what
+    ``robust_recursion`` and ``guidance.monte_carlo`` take besides the
+    state set.  Both control sets use scn.n_points thrust points."""
+    dyn = discretize(scn)
+    schedule = build_disturbance_schedule(model, dyn, scn.N)
+    control_set = robustify_control_set(scn, schedule.R_u)
+    terminal = make_full_dim_terminal(scn, pre_steps=pre_steps)
+    dyn_worst_case = worst_case_depletion_dynamics(dyn, scn.alpha, schedule.R_u)
+    return dyn, schedule, control_set, terminal, dyn_worst_case
+
+
 # -- serialization ---------------------------------------------------------
 
 
@@ -263,16 +263,6 @@ def _read_exact(fh, size: int) -> bytearray:
 def _read_array(fh, count: int, dtype: str = "<f8") -> np.ndarray:
     dtype = np.dtype(dtype)
     return np.frombuffer(_read_exact(fh, count * dtype.itemsize), dtype=dtype)
-
-
-def _canonical_csr(A) -> sp.csr_matrix:
-    """A copy of A in canonical CSR form (duplicates summed, explicit
-    zeros dropped, indices sorted): the matrix ``sp.csr_matrix(A.toarray())``
-    gives, without the dense copy."""
-    A = sp.csr_matrix(A, dtype=float, copy=True)
-    A.sum_duplicates()
-    A.eliminate_zeros()
-    return A
 
 
 def _read_csr(fh, n_e: int, n_g: int, nnz: int) -> sp.csr_matrix:
@@ -299,27 +289,26 @@ def _read_csr(fh, n_e: int, n_g: int, nnz: int) -> sp.csr_matrix:
 def serialize_tube(tube: ControllableTube, path) -> None:
     """Write the tube in format version 3 (see the module docstring).
 
-    Each set's A is written in canonical CSR form, taken from a copy, so
-    a set whose A holds explicit zeros or unsorted indices writes the
-    same bytes as its canonical equal and as its reload.  Each set is
-    followed by its canonical min-cost basis (one flag byte, then one
-    HiGHS status code per latent column and per latent row), computed
-    here if the set has none yet."""
+    Each set's A is written as it is held, in canonical CSR form, so a
+    set writes the same bytes as every equal set and as its reload.
+    Each set is followed by its canonical min-cost basis (one flag byte,
+    then one HiGHS status code per latent column and per latent row),
+    computed here by the set's emptiness check if it has none yet."""
     with open(path, "wb") as fh:
         fh.write(TUBE_MAGIC)
         fh.write(struct.pack("<IBId", TUBE_VERSION, _KINDS.index(tube.kind), tube.N, tube.dt))
         fh.write(tube.scenario_hash)
         for Z in tube.sets:
             n, n_g, n_e = Z.dim, Z.n_generators, Z.n_constraints
-            A = _canonical_csr(Z.A)
-            fh.write(struct.pack("<IIIQ", n, n_g, n_e, A.nnz))
+            fh.write(struct.pack("<IIIQ", n, n_g, n_e, Z.A.nnz))
             _write_array(fh, Z.G)
             _write_array(fh, Z.c)
-            _write_array(fh, A.indptr, "<i8")
-            _write_array(fh, A.indices, "<i4")
-            _write_array(fh, A.data)
+            _write_array(fh, Z.A.indptr, "<i8")
+            _write_array(fh, Z.A.indices, "<i4")
+            _write_array(fh, Z.A.data)
             _write_array(fh, Z.b)
-            basis = attach_cost_basis(Z).support_basis(min_cost_direction(n), compute=False)
+            Z.is_empty()
+            basis = Z.support_basis(min_cost_direction(n), compute=False)
             fh.write(b"\x00" if basis is None else b"\x01" + basis.codes().tobytes())
 
 

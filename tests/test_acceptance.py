@@ -41,18 +41,11 @@ from cztube.landing import (
 from cztube.tube import (
     deserialize_tube,
     deterministic_recursion,
-    make_full_dim_terminal,
+    robust_parts,
     robust_recursion,
     serialize_tube,
 )
-from cztube.uncertainty import (
-    build_disturbance_schedule,
-    chi2_cdf,
-    chi2_inv_cdf,
-    landing_uncertainty_model,
-    robustify_control_set,
-    worst_case_depletion_dynamics,
-)
+from cztube.uncertainty import chi2_cdf, chi2_inv_cdf, landing_uncertainty_model
 
 N_POINTS_DET = 100
 MC_SEED = 2026
@@ -118,13 +111,9 @@ def rob(tmp_path_factory):
         r_i=np.array([4000.0, 4000.0, 4000.0]),
         v_i=np.array([-10.0, -10.0, -10.0]),
     )
-    dyn = discretize(scn)
     model = landing_uncertainty_model()
-    sched = build_disturbance_schedule(model, dyn, scn.N)
+    dyn, sched, U_rob, Tf, dyn_w = robust_parts(scn, model)
     X = build_state_set(scn)
-    U_rob = robustify_control_set(scn, sched.R_u, scn.n_points)
-    Tf = make_full_dim_terminal(scn, k_points=scn.n_points)
-    dyn_w = worst_case_depletion_dynamics(dyn, scn.alpha, sched.R_u)
     sink = {}
     t0 = time.perf_counter()
     tube = robust_recursion(dyn_w, X, U_rob, Tf, sched, scn.N, eroded_sink=sink)

@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cztube import czset, lp
 from cztube.czset import (
@@ -14,8 +15,11 @@ from cztube.czset import (
     EmptySetError,
     Halfspace,
     NotFullDimensionalError,
+    min_cost_direction,
 )
-from cztube.lp import FEAS_TOL, SMALL_MATRIX_VALUE, LpError, LpSolution, LpStatus
+from cztube.guidance import one_step_ocp
+from cztube.landing import DiscreteDynamics
+from cztube.lp import FEAS_TOL, SMALL_MATRIX_VALUE, HighsRun, LpError, LpSolution, LpStatus
 
 CZ = ConstrainedZonotope
 
@@ -327,11 +331,12 @@ def test_latent_basis_needs_an_unpruned_image_and_a_settling_lp():
     assert free.latent_basis() is not None
     assert free.project([0]).n_generators == 1
     assert free.project([0]).latent_basis() is None
-    # a feasibility LP leaves none
+    # with no direction given, the min-cost support LP settles emptiness
     w = random_cz(rng, dim=3, n_g=6, n_e=2)
     assert not w.is_empty()
-    w.is_empty(np.array([1.0, 0.0, 0.0]))
-    assert w.latent_basis() is None
+    basis = w.latent_basis()
+    assert basis is not None
+    assert w.support_basis(min_cost_direction(3), compute=False) is basis
 
 
 def test_support_emptiness_check_raises_on_numerical_failure(monkeypatch):
@@ -339,6 +344,41 @@ def test_support_emptiness_check_raises_on_numerical_failure(monkeypatch):
                         lambda prob, method="highs", basis=None: LpSolution(LpStatus.NUMERICAL_FAILURE))
     with pytest.raises(LpError):
         CZ.from_box([-1.0, -1.0], [1.0, 1.0]).is_empty(np.array([1.0, 0.0]))
+
+
+def test_unbounded_verdict_makes_the_emptiness_check_raise(monkeypatch):
+    # no support LP is unbounded; a solver that says so has failed
+    monkeypatch.setattr(lp, "linprog", lambda prob, method="highs", basis=None:
+                        HighsRun(lp.highs.HighsModelStatus.kUnbounded, 0))
+    with pytest.raises(LpError, match="UNBOUNDED"):
+        CZ.from_box([-1.0, -1.0], [1.0, 1.0]).is_empty()
+
+
+def _arrays(A):
+    return [a.tobytes() for a in (A.indptr, A.indices, A.data)]
+
+
+def test_queries_leave_the_constraint_matrix_untouched():
+    # the caller's A has unsorted indices and a duplicate in row 0
+    # (columns 8, 0, 8); the set holds its canonical copy, and no LP over
+    # the set changes either one
+    A = sp.csr_matrix(
+        (np.array([1.0, 0.5, 0.5, 1.0, -1.0]), np.array([8, 0, 8, 3, 1]), np.array([0, 3, 5])),
+        shape=(2, 9),
+    )
+    given = _arrays(A)
+    G = np.hstack([np.eye(8), np.zeros((8, 1))])
+    Z = CZ(G, np.zeros(8), A, np.zeros(2))
+    assert Z.A.indices.tolist() == [0, 8, 1, 3] and Z.A.data.tolist() == [0.5, 1.5, -1.0, 1.0]
+    held = _arrays(Z.A)
+    dyn = DiscreteDynamics(np.eye(8), np.zeros((8, 4)), np.zeros(8), 1.0)
+    assert not Z.is_empty()
+    assert Z.support(np.ones(8)) > 0
+    assert Z.contains_point(np.zeros(8))
+    _, _, c_k = one_step_ocp(np.zeros(8), Z, CZ.from_box(-np.ones(4), np.ones(4)), dyn)
+    assert abs(c_k + 1.0) <= 1e-9
+    assert _arrays(A) == given
+    assert _arrays(Z.A) == held
 
 
 def test_memoized_value_is_computed_once_across_threads():

@@ -31,17 +31,11 @@ from cztube.landing import (
 from cztube.lp import FEAS_TOL, LpError, LpSolution, LpStatus
 from cztube.tube import (
     ControllableTube,
-    attach_cost_basis,
     deterministic_recursion,
-    make_full_dim_terminal,
+    robust_parts,
     robust_recursion,
 )
-from cztube.uncertainty import (
-    build_disturbance_schedule,
-    landing_uncertainty_model,
-    robustify_control_set,
-    worst_case_depletion_dynamics,
-)
+from cztube.uncertainty import landing_uncertainty_model
 
 
 def box8(half, center=None):
@@ -80,15 +74,11 @@ def robust_toy():
         r_i=np.array([0.0, 0.0, 300.0]),
         v_i=np.array([0.0, 0.0, -5.0]),
     )
-    dyn = discretize(scn)
     model = landing_uncertainty_model(
         sigma3_u=0.01, sigma3_r_rate=0.2, sigma3_v_rate=0.005
     )
-    sched = build_disturbance_schedule(model, dyn, scn.N)
+    dyn, sched, U_rob, Tf, dyn_w = robust_parts(scn, model)
     X = build_state_set(scn)
-    U_rob = robustify_control_set(scn, sched.R_u, scn.n_points)
-    Tf = make_full_dim_terminal(scn, k_points=scn.n_points)
-    dyn_w = worst_case_depletion_dynamics(dyn, scn.alpha, sched.R_u)
     sink = {}
     tube = robust_recursion(dyn_w, X, U_rob, Tf, sched, scn.N, eroded_sink=sink)
     return scn, dyn, model, sched, U_rob, Tf, tube, sink
@@ -217,7 +207,9 @@ def test_rollout_matches_full_horizon_oracle(det_toy):
 def _fresh(tube):
     """The same tube with new set objects, carrying nothing but their
     canonical min-cost bases, as a loaded tube does."""
-    sets = [attach_cost_basis(ConstrainedZonotope(Z.G, Z.c, Z.A, Z.b)) for Z in tube.sets]
+    sets = [ConstrainedZonotope(Z.G, Z.c, Z.A, Z.b) for Z in tube.sets]
+    for Z in sets:
+        Z.is_empty()
     return ControllableTube(sets, tube.dt, tube.kind)
 
 
@@ -505,16 +497,12 @@ def test_monte_carlo_zero_noise_deterministic():
         r_i=np.array([0.0, 0.0, 300.0]),
         v_i=np.array([0.0, 0.0, -5.0]),
     )
-    dyn = discretize(scn)
     model = landing_uncertainty_model(
         sigma3_u=0.0, sigma3_r_rate=0.0, sigma3_v_rate=0.0
     )
-    sched = build_disturbance_schedule(model, dyn, scn.N)
+    dyn, sched, U_rob, Tf, dyn_w = robust_parts(scn, model)
     assert all(len(g) == 0 for g in sched.outer_zonotopes)
     X = build_state_set(scn)
-    U_rob = robustify_control_set(scn, sched.R_u, scn.n_points)
-    Tf = make_full_dim_terminal(scn, k_points=scn.n_points)
-    dyn_w = worst_case_depletion_dynamics(dyn, scn.alpha, sched.R_u)
     tube = robust_recursion(dyn_w, X, U_rob, Tf, sched, scn.N)
     mc = monte_carlo(scn, tube, model, sched, U_rob, Tf, dyn, trials=3, master_seed=7)
     assert mc.successes == mc.trials == 3

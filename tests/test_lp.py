@@ -15,7 +15,6 @@ from cztube.lp import (
     LpBasis,
     LpStatus,
     _feasibility_residual,
-    check_feasibility,
     dump_lp,
     farkas_certifies,
     single_row_certifies,
@@ -59,19 +58,6 @@ def test_unbounded():
     prob = LinearProgram(c_obj=[-1.0])
     sol = solve_lp(prob)
     assert sol.status == LpStatus.UNBOUNDED
-
-
-def test_check_feasibility_box():
-    prob = LinearProgram(c_obj=[0.0], lb=[0.0], ub=[1.0])
-    sol = check_feasibility(prob)
-    assert sol.status == LpStatus.OPTIMAL
-    assert 0.0 - FEAS_TOL <= sol.x_opt[0] <= 1.0 + FEAS_TOL
-
-
-def test_check_feasibility_fixed_value_conflict():
-    prob = LinearProgram(c_obj=[0.0], E=[[1.0]], f=[2.0], lb=[-1.0], ub=[1.0])
-    sol = check_feasibility(prob)
-    assert sol.status == LpStatus.INFEASIBLE
 
 
 def test_zero_variable_problems():
@@ -242,7 +228,9 @@ def test_uncertified_infeasible_verdict_is_never_reported(monkeypatch, ray):
         prob = _random_feasible_lp(rng)
         for method in ("highs", "highs-ds", "highs-ipm"):
             assert solve_lp(prob, method).status == LpStatus.NUMERICAL_FAILURE
-        assert check_feasibility(prob).status == LpStatus.NUMERICAL_FAILURE
+        zero = LinearProgram(np.zeros(prob.n_vars), prob.E, prob.f, prob.H, prob.g,
+                             prob.lb, prob.ub)
+        assert solve_lp(zero).status == LpStatus.NUMERICAL_FAILURE
 
 
 def test_false_infeasible_verdict_recovers_on_retry(monkeypatch):
@@ -299,7 +287,7 @@ def test_infeasible_verdicts_carry_a_checked_ray(certificate_spy):
     )
     assert solve_lp(prob).status == LpStatus.INFEASIBLE
     conflict = LinearProgram(c_obj=[0.0], E=[[1.0]], f=[2.0], lb=[-1.0], ub=[1.0])
-    assert check_feasibility(conflict).status == LpStatus.INFEASIBLE
+    assert solve_lp(conflict).status == LpStatus.INFEASIBLE
     assert certificate_spy == [True, True]
     # the interior-point path has no ray and re-solves with simplex for one
     assert solve_lp(prob, "highs-ipm").status == LpStatus.INFEASIBLE

@@ -269,15 +269,29 @@ def test_noncanonical_constraint_matrix_writes_its_canonical_form(tmp_path):
     args = (np.array([[1.0, 0.5, 0.25]]), np.zeros(1), A, np.array([0.5, 0.2]))
     raw = ConstrainedZonotope(*args)
     canonical = ConstrainedZonotope(args[0], args[1], sp.csr_matrix(A.toarray()), args[3])
+    for a, b in ((raw.A.indptr, canonical.A.indptr), (raw.A.indices, canonical.A.indices),
+                 (raw.A.data, canonical.A.data)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     paths = tmp_path / "canonical.cztb", tmp_path / "raw.cztb"
     serialize_tube(ControllableTube([canonical], 1.0, "deterministic"), paths[0])
-    # the equal set's basis, so that no LP is built from the raw A
-    eta = min_cost_direction(1)
-    raw.attach_support_basis(eta, canonical.support_basis(eta, compute=False))
     serialize_tube(ControllableTube([raw], 1.0, "deterministic"), paths[1])
     assert paths[0].read_bytes() == paths[1].read_bytes()
-    # the set itself is left as it was
-    assert raw.A.nnz == 5 and raw.A.indices.tolist() == [1, 2, 0, 1, 2]
+    # the caller's matrix is left as it was
+    assert A.nnz == 5 and A.indices.tolist() == [1, 2, 0, 1, 2]
+
+
+def test_latent_with_only_a_stored_zero_is_pruned_and_its_tube_loads(tmp_path):
+    # A = [[1, 0, 0]] stores its column-2 zero; G's column 2 is zero too,
+    # so that latent is unused and the set drops it, as its reload does
+    A = sp.csr_matrix((np.array([1.0, 0.0]), np.array([0, 2]), np.array([0, 2])), shape=(1, 3))
+    Z = ConstrainedZonotope(np.array([[1.0, 1.0, 0.0]]), np.zeros(1), A, np.array([0.5]))
+    assert Z.n_generators == 2
+    path = tmp_path / "zero.cztb"
+    serialize_tube(ControllableTube([Z], 1.0, "deterministic"), path)
+    back = deserialize_tube(path).cs(1)
+    eta = min_cost_direction(1)
+    assert Z.support_basis(eta, compute=False) is not None
+    assert back.support_basis(eta, compute=False) == Z.support_basis(eta, compute=False)
 
 
 def _toy_tube():
