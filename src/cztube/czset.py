@@ -6,12 +6,19 @@ intersections, which makes them the working currency for every set
 computation in this package.  All predicates (support, containment,
 emptiness) reduce to linear programs over the latent box intersected
 with the equality constraints.
+
+Each set has one canonical simplex basis (``ConstrainedZonotope.basis``):
+the optimal basis of its support LP in the min-cost direction
+(``min_cost_direction``), the LP that settles its emptiness.  The support
+LPs of its slices in that direction and of its affine images start from
+it; every other support LP runs cold.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -43,11 +50,6 @@ class EmptySetError(Exception):
 
 class NotFullDimensionalError(Exception):
     """Operation requires a full-dimensional set."""
-
-
-def _basis_key(eta):
-    # + 0.0 turns -0.0 into 0.0, so equal directions share a key
-    return ("support_basis", (eta + 0.0).tobytes())
 
 
 def min_cost_direction(dim: int) -> np.ndarray:
@@ -97,9 +99,9 @@ class ConstrainedZonotope:
     one with no stored entry, and is pruned at construction.  Instances
     are treated as immutable; every operation returns a new object, and
     no LP over a set changes its arrays.  Emptiness is settled by one
-    LP, a support LP (``is_empty``).  Values derived from a set, such as
-    the canonical simplex bases that warm-start queries on its slices
-    and on its affine images, are memoized on it (``cached``).
+    LP, the min-cost support LP (``is_empty``), whose optimal basis is
+    the set's one canonical basis (``basis``).  It and other values
+    derived from a set are memoized on it (``cached``).
     """
 
     __slots__ = ("G", "c", "A", "b", "_cache", "_slice_of", "_image_of")
@@ -268,8 +270,8 @@ class ConstrainedZonotope:
 
         The latent layout is the parent's with the m pin rows appended
         to A and, for a band, m band columns appended after the parent's
-        latents; support LPs on the slice warm-start from the parent's
-        bases (``_slice_basis``).
+        latents; support LPs on the slice in the min-cost direction
+        warm-start from the parent's basis (``_slice_basis``).
         """
         dims = np.asarray(dims, dtype=int)
         values = np.asarray(values, dtype=float).ravel()
@@ -293,44 +295,40 @@ class ConstrainedZonotope:
 
     def _slice_basis(self, eta):
         """Starting basis for this slice's support LP in direction eta,
-        or None when this set is no slice or its parent carries no
-        support basis in direction eta (``support_basis``).
+        or None when this set is no slice, eta is not the min-cost
+        direction or the parent carries no basis (``basis``).
 
-        The slice's support LP is the parent's plus the pin rows (and
-        band columns, whose cost is zero).  The parent's optimal basis,
-        extended with the band columns basic and the pin rows nonbasic
-        (for an exact slice: the pin rows basic), gives the pin rows zero
-        dual weight and leaves every other dual and reduced cost as it
-        was.  It is therefore dual feasible whatever values are pinned,
-        and dual simplex only repairs the pinned rows.  The parent's
-        basis is canonical and the query only reads it, so the answer
-        does not depend on which slices were queried before.
+        The slice's min-cost support LP is the parent's plus the pin rows
+        (and band columns, whose cost is zero).  The parent's optimal
+        basis, extended with the band columns basic and the pin rows
+        nonbasic (for an exact slice: the pin rows basic), gives the pin
+        rows zero dual weight and leaves every other dual and reduced
+        cost as it was.  It is therefore dual feasible whatever values
+        are pinned, and dual simplex only repairs the pinned rows.  The
+        parent's basis is canonical and the query only reads it, so the
+        answer does not depend on which slices were queried before.
         """
-        if self._slice_of is None:
+        if self._slice_of is None or not np.array_equal(eta, min_cost_direction(self.dim)):
             return None
         parent, m, banded = self._slice_of
-        base = parent.support_basis(eta, compute=False)
+        base = parent.basis()
         if base is None:
             return None
         if banded:
             return LpBasis(base.cols + (BASIC,) * m, base.rows + (NONBASIC,) * m)
         return LpBasis(base.cols, base.rows + (BASIC,) * m)
 
-    def latent_basis(self):
+    def latent_basis(self) -> Optional[LpBasis]:
         """An optimal basis of this set's latent LP, or None.
 
-        It is the basis of the support LP that settled ``is_empty(eta)``,
-        kept when that LP ended optimal; an affine image that pruned no
-        latent (``affine_map``, ``project``) has the same latent LP and
-        reads its source's.  Every support LP of the set and of those
-        images has the same rows and bounds and differs only in its
-        objective, so this basis is primal feasible for each of them.
-        It is computed once per set, with emptiness, and never taken from
-        a support query, so answers do not depend on the order of the
-        queries.
+        It is the set's ``basis``; an affine image that pruned no latent
+        (``affine_map``, ``project``) has the same latent LP and reads its
+        source's.  Every support LP of the set and of those images has
+        the same rows and bounds and differs only in its objective, so
+        this basis is primal feasible for each of them.
         """
         source = self if self._image_of is None else self._image_of
-        return source._cache.get("latent_basis")
+        return source.basis()
 
     def _start_basis(self, eta):
         """Starting basis of the support LP in direction eta: the slice's
@@ -374,67 +372,50 @@ class ConstrainedZonotope:
 
     # -- LP-backed queries -----------------------------------------------
 
-    def is_empty(self, eta=None) -> bool:
-        """True iff the set is empty, settled by one LP: the support LP in
-        direction eta, by default the min-cost direction
-        (``min_cost_direction``).  Its solve leaves the set's canonical
-        basis in direction eta memoized (``support_basis``); when that LP
-        settles emptiness and ends optimal, its basis is the set's
-        ``latent_basis``.  An LP that settles nothing raises LpError
-        naming its status."""
-        self.support_basis(min_cost_direction(self.dim) if eta is None else eta)
-        if "empty" not in self._cache:
-            raise LpError(f"emptiness LP ended with status {self._cache['unsettled']}")
-        return self._cache["empty"]
+    def is_empty(self) -> bool:
+        """True iff the set is empty, settled once by one LP: the support
+        LP in the min-cost direction (``min_cost_direction``), started
+        from ``_start_basis``.  When it ends optimal, its optimal basis
+        is kept as the set's ``basis``.  An LP that settles nothing
+        raises LpError naming its status."""
+        return self.cached("emptiness", self._settle_emptiness)[0]
+
+    def _settle_emptiness(self):
+        """(empty, basis) from the min-cost support LP (``is_empty``)."""
+        eta = min_cost_direction(self.dim)
+        sol = solve_lp(self._support_lp(eta), basis=self._start_basis(eta))
+        if sol.status == LpStatus.INFEASIBLE:
+            return True, None
+        if sol.status != LpStatus.OPTIMAL:
+            raise LpError(f"emptiness LP ended with status {sol.status}")
+        return False, sol.basis
 
     def _support_lp(self, eta) -> LinearProgram:
         ones = np.ones(self.n_generators)
         return LinearProgram(-(self.G.T @ eta), E=self.A, f=self.b, lb=-ones, ub=ones)
 
-    def support_basis(self, eta, compute: bool = True):
-        """Canonical optimal basis of the support LP in direction eta, or
-        None when that LP has no optimum or no variables (a set with no
-        generators, which ``solve_lp`` settles by inspection).
+    def basis(self) -> Optional[LpBasis]:
+        """The set's canonical basis: the optimal basis of the LP that
+        settled ``is_empty``, so it depends on nothing but the set.  None
+        while emptiness is unsettled, for an empty set, and for a set
+        with no generators (whose LP ``solve_lp`` settles by inspection).
 
-        The basis is the one a solve from ``_start_basis`` ends on (cold
-        but for slices and images), memoized on the set, so it depends on
-        nothing but the set and eta.  Queries ask with
-        compute=False, which only reads the memo: they never pay for the
-        cold solve.  The code that makes a set for repeated queries (the
-        tube recursions, ``tube.deserialize_tube``) computes the basis,
-        through ``is_empty``, or restores it (``attach_support_basis``).
-        The solve's verdict also settles ``is_empty`` unless it is
-        settled already; a verdict that settles nothing is kept for
-        ``is_empty`` to report.
+        It only reads, and never solves: queries never pay for the
+        emptiness LP.  The code that makes a set for repeated queries
+        (the tube recursions, ``landing.build_control_set``) settles it
+        through ``is_empty``; ``tube.deserialize_tube`` restores it
+        (``attach_basis``).
         """
-        eta = np.asarray(eta, dtype=float).ravel()
-        key = _basis_key(eta)
-        if not compute:
-            return self._cache.get(key)
+        settled = self._cache.get("emptiness")
+        return None if settled is None else settled[1]
 
-        def solve():
-            sol = solve_lp(self._support_lp(eta), basis=self._start_basis(eta))
-            basis = sol.basis if sol.status == LpStatus.OPTIMAL else None
-            if sol.status not in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE):
-                self._cache["unsettled"] = sol.status
-            elif "empty" not in self._cache:
-                self._cache["latent_basis"] = basis
-                self._cache["empty"] = sol.status == LpStatus.INFEASIBLE
-            return basis
-
-        return self.cached(key, solve)
-
-    def attach_support_basis(self, eta, basis: LpBasis) -> None:
-        """Memoize a basis that ``support_basis(eta)`` computed for an
-        equal set, such as one read back from a tube file.  An optimal
-        basis exists only for a nonempty set, which settles ``is_empty``
-        as the support LP would have."""
+    def attach_basis(self, basis: LpBasis) -> None:
+        """Restore the basis that ``is_empty`` left on an equal set, such
+        as one read back from a tube file.  An optimal basis exists only
+        for a nonempty set, so this settles ``is_empty`` as False."""
         if (len(basis.cols), len(basis.rows)) != (self.n_generators, self.n_constraints):
             raise ValueError("basis does not match the set's support LP")
-        self.cached(_basis_key(np.asarray(eta, dtype=float).ravel()), lambda: basis)
-        if "empty" not in self._cache:
-            self._cache["latent_basis"] = basis
-            self._cache["empty"] = False
+        self.cached("emptiness", lambda: (False, basis))
 
     def _support_solution(self, eta):
         eta = np.asarray(eta, dtype=float).ravel()

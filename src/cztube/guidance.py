@@ -13,11 +13,12 @@ The horizon scan and the one-step LPs are warm-started.  Across queries
 each of these LPs keeps its matrix and objective, and only the pinned
 physical state changes, so dual simplex starts from an optimal basis of
 the same LP with the state left free.  That basis is assembled from the
-canonical min-cost basis that every tube set carries from the build,
-where its emptiness check leaves it (``ConstrainedZonotope.is_empty``),
-or from the tube file.  A query only reads it, never computes it, and
-never takes a basis from a previous query, so every answer is
-independent of the order of the queries before it.  The
+canonical basis (``ConstrainedZonotope.basis``) that every tube set
+carries from the build, where its emptiness check leaves it, or from the
+tube file, and for the one-step LP from the control set's, which
+``landing.build_control_set`` settles.  A query only reads these bases,
+never computes one, and never takes a basis from a previous query, so
+every answer is independent of the order of the queries before it.  The
 divert footprint (``instantaneous_reachable``) settles the emptiness of
 its slice with the slice's min-cost support LP, warm from the same
 basis, and every support LP of the footprint starts from that LP's
@@ -31,16 +32,16 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .czset import ConstrainedZonotope, EmptySetError
-from .landing import CONTROL_DIM, STATE_DIM, DiscreteDynamics, LandingScenario
+from .czset import ConstrainedZonotope, EmptySetError, min_cost_direction
+from .landing import STATE_DIM, DiscreteDynamics, LandingScenario
 from .lp import BASIC, NONBASIC, LinearProgram, LpBasis, LpError, LpStatus, solve_lp
-from .tube import ControllableTube, min_cost_direction
+from .tube import ControllableTube
 from .uncertainty import DisturbanceSchedule, UncertaintyModel
 
 SLICE_TOL = 1e-6
@@ -141,26 +142,23 @@ def optimal_horizon(x_i, tube: ControllableTube, tol: float = SLICE_TOL) -> Hori
 # -- one-step optimal control ---------------------------------------------
 
 
-def _cost_weights(dyn: DiscreteDynamics) -> np.ndarray:
-    """w = A^-T e_c: with the state free, the cost-to-go c_k that the
-    dynamics rows leave is w'(next state - B u - d)."""
-    e_c = np.zeros(STATE_DIM)
-    e_c[-1] = 1.0
-    return np.linalg.solve(dyn.A.T, e_c)
-
-
 @dataclass
 class _OneStepModel:
     """The one-step LP into one tube set for one control set and dynamics,
     with the physical state as free columns.
 
     With the state free, the 8 state columns meet the 8 dynamics rows
-    whatever the latents are, so the LP splits into two support LPs:
-    the next set's in direction -w and the control set's in direction
-    B'w (w from ``_cost_weights``).  Their canonical optimal bases, with
-    the state columns basic and the dynamics rows nonbasic, form an
-    optimal basis of the whole LP, with dual weights w on the dynamics
-    rows; it is dual feasible for every pinned state (``basis``).
+    whatever the latents are, so the LP splits into two support LPs, with
+    w = A^-T e_8: the next set's in direction -w and the control set's in
+    direction B'w.  The start (``basis``) joins the two sets' canonical
+    bases, with the state columns basic and the dynamics rows nonbasic.
+    When the cost row of A is e_8', as in ``landing.discretize`` and its
+    worst-case variant, w = e_8: -w is the min-cost direction and B'w a
+    nonnegative multiple of the control set's, so the start is an optimal
+    basis of the state-free LP, with dual weights w on the dynamics rows,
+    and dual feasible for every pinned state.  For other dynamics it is
+    still a basis, as the state columns meet an invertible A, but not
+    dual feasible, and simplex goes further from it.
 
     The control set and dynamics are held so that the ids keying the
     model on the tube set stay theirs."""
@@ -168,17 +166,13 @@ class _OneStepModel:
     control_set: ConstrainedZonotope
     dyn: DiscreteDynamics
     prob: LinearProgram
-    w: np.ndarray
 
     def basis(self, cs_next: ConstrainedZonotope) -> Optional[LpBasis]:
-        """The starting basis, or None when cs_next carries no basis in
-        direction -w.  The control set's basis is a small solve, done on
-        first use and memoized on the control set."""
-        b_next = cs_next.support_basis(-self.w, compute=False)
-        if b_next is None:
-            return None
-        b_u = self.control_set.support_basis(self.dyn.B.T @ self.w)
-        if b_u is None:
+        """The starting basis, or None when cs_next or the control set
+        carries no basis."""
+        b_next = cs_next.basis()
+        b_u = self.control_set.basis()
+        if b_next is None or b_u is None:
             return None
         return LpBasis(
             b_u.cols + b_next.cols + (BASIC,) * STATE_DIM,
@@ -221,7 +215,10 @@ def _one_step_model(cs_next, control_set, dyn) -> _OneStepModel:
     lb = np.concatenate([-np.ones(n_u + n_n), np.full(1 + n_x, -np.inf)])
     ub = np.concatenate([np.ones(n_u + n_n), np.full(1 + n_x, np.inf)])
     prob = LinearProgram(c_obj, E, f, lb=lb, ub=ub)
-    return _OneStepModel(control_set, dyn, prob, _cost_weights(dyn))
+    # settles the control set's basis; a cache hit for every set that
+    # landing.build_control_set made
+    control_set.is_empty()
+    return _OneStepModel(control_set, dyn, prob)
 
 
 def one_step_ocp(
@@ -236,10 +233,11 @@ def one_step_ocp(
     current cost-to-go c_k and the physical part of the current state,
     fixed by its bounds (lb = ub = x), so the LP's matrix and objective
     do not depend on the state; it is built once per (cs_next,
-    control_set, dyn) and memoized on cs_next.  When cs_next carries its
-    canonical basis, an optimal basis of the same LP with the state free
-    is assembled from it; that basis is dual feasible for every state and
-    warm-starts the query.  Returns (control, next_state, c_k).
+    control_set, dyn) and memoized on cs_next.  When cs_next and the
+    control set carry their canonical bases, the query warm-starts from
+    a basis assembled from them (``_OneStepModel``): for the landing
+    dynamics an optimal basis of the same LP with the state free, dual
+    feasible for every state.  Returns (control, next_state, c_k).
     """
     x_k = np.asarray(x_k, dtype=float).ravel()
     x_phys = x_k[: STATE_DIM - 1]
@@ -599,8 +597,8 @@ def monte_carlo(
     during the tube build (eroded[k] inner-approximates the tube's step
     k+1 set minus the step-k disturbance); missing entries are computed.
     Every trial steers into every target, so each target is checked for
-    emptiness once before the trials, in the one-step LP's cost
-    direction, which leaves its canonical basis memoized if it had none.
+    emptiness once before the trials, which leaves its canonical basis
+    if it had none.
     """
     N = tube.N
     eroded = dict(eroded) if eroded else {}
@@ -608,9 +606,8 @@ def monte_carlo(
         if k not in eroded:
             nxt = tube.cs(k + 1).minrow_normalize()
             eroded[k] = nxt.pontryagin_difference(schedule.outer_zonotopes[k - 1])
-    target_direction = -_cost_weights(dyn)
     for target in eroded.values():
-        target.is_empty(target_direction)
+        target.is_empty()
 
     def run_trial(t: int) -> TrialResult:
         rng = np.random.default_rng([master_seed, t])

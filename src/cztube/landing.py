@@ -19,7 +19,6 @@ from .cone import CompactQuadraticCone, cqc_inner_approx
 from .czset import ConstrainedZonotope, Halfspace
 
 R_IDX = slice(0, 3)
-V_IDX = slice(3, 6)
 Z_IDX = 6
 C_IDX = 7
 STATE_DIM = 8

@@ -23,14 +23,18 @@ Simplex can start from a given basis (``LpBasis``; an optimal simplex
 run reports its own).  The checks above apply unchanged to a warm run,
 and its retry runs cold.  Callers pass only canonical bases, which
 depend on the program's fixed data and never on an earlier query, so
-answers do not depend on the order of queries.  Two kinds are passed: a
-basis that is dual feasible for the program (an optimal basis of the
-same objective over related rows, e.g. a tube set's for its slices),
-and one that is primal feasible (an optimal basis of the same rows and
-bounds under another objective, e.g. a slice's for the support LPs of
-its affine images).  HiGHS picks the simplex variant of a warm run
-from the start it is given: primal simplex from a primal feasible
-basis, dual simplex otherwise.  Cold runs use dual simplex.
+answers do not depend on the order of queries.  Each is built from the
+canonical bases of constrained zonotopes (``ConstrainedZonotope.basis``),
+and is of one of three kinds: a basis that is dual feasible for the
+program (an optimal basis of the same objective over related rows,
+e.g. a tube set's for its slices), one that is primal feasible (an
+optimal basis of the same rows and bounds under another objective,
+e.g. a slice's for the support LPs of its affine images), and, for the
+one-step LP under dynamics whose cost row reads other states, a basis
+that is neither, from which simplex goes further.  HiGHS picks the
+simplex variant of a warm run from the start it is given: primal
+simplex from a primal feasible basis, dual simplex otherwise.  Cold
+runs use dual simplex.
 """
 
 from __future__ import annotations
@@ -392,16 +396,13 @@ def solve_lp(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis
     set-erosion routine.
 
     basis warm-starts simplex (IPM ignores it).  Callers pass only
-    canonical bases: the optimal basis of a fixed reference program that
-    depends on nothing but the caller's data (a set, a direction, a
-    control set and dynamics), never the basis of a previous query, so an
-    answer does not depend on the order of the queries before it.  The
-    reference program either has the same objective (its basis is dual
-    feasible, as a tube set's is for its slices) or the same rows and
-    bounds (its basis is primal feasible, as a slice's latent basis is
-    for the support LPs of its projection and other affine images).  A
-    warm start changes how the solver gets to its verdict, not how the
-    verdict is checked.
+    canonical bases: built from the optimal bases of fixed reference
+    programs that depend on nothing but the caller's sets, never from
+    the basis of a previous query, so an answer does not depend on the
+    order of the queries before it.  The module docstring lists the
+    kinds passed; any nonsingular basis is a valid start.  A warm start
+    changes how the solver gets to its verdict, not how the verdict is
+    checked.
 
     The contract on the result:
 

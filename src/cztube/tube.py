@@ -7,10 +7,10 @@ CS_k = X ∩ A^-1(CS_{k+1} ⊕ (-B U - d)) builds the whole tube offline;
 the robust variant additionally erodes each set by the step's bounded
 disturbance before stepping backward.
 
-Each set is made with its canonical min-cost basis, the optimal basis of
-its support LP in the direction of least cost-to-go, which the set's
-emptiness check leaves behind (``ConstrainedZonotope.is_empty``), and the
-tube file stores it.  The online queries warm-start from these
+Each set is made with its canonical basis (``ConstrainedZonotope.basis``),
+the optimal basis of its support LP in the direction of least
+cost-to-go, which the set's emptiness check leaves behind, and the tube
+file stores it.  The online queries warm-start from these
 bases (see ``cztube.guidance``) and never compute one themselves, so a
 process that loads a tube and lands once gets the warm starts too.
 
@@ -24,13 +24,14 @@ Tube file, format version 3 (all little-endian):
   strictly increasing within each row) as ``indptr`` (n_e + 1 ``<i8``),
   ``indices`` (nnz ``<i4``) and ``data`` (nnz ``<f8``); b (n_e ``<f8``);
   then the basis block: one flag byte, and when it is 1 one uint8 HiGHS
-  status code per latent column and per latent row.
+  status code per latent column and per latent row.  The flag is 0 for
+  a set that has no basis, such as a set with no generators.
 
 A is sparse by construction (the block rows of intersections and
 Minkowski sums), about 2% dense on the deterministic landing tube, so
-the N=46 tube takes 22 MB instead of the 441 MB of a dense A.  Version
-2 files (``<III`` dimensions, A dense n_e x n_g) and version 1 files
-(the same without the basis block) still load.
+the N=46 tube takes 22 MB instead of the 441 MB of a dense A.  Only
+version 3 is read; an older file is rejected with a request to rebuild
+it with ``cztube build-tube``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .czset import ConstrainedZonotope, NotFullDimensionalError, min_cost_direction
+from .czset import ConstrainedZonotope, NotFullDimensionalError
 from .landing import (
     DiscreteDynamics,
     LandingScenario,
@@ -64,7 +65,7 @@ from .uncertainty import (
 )
 
 TUBE_MAGIC = b"CZTB"
-TUBE_VERSION = 3  # 2: A stored dense; 1: also without the per-set basis block
+TUBE_VERSION = 3  # the only version read; older files ask for a rebuild
 _KINDS = ("deterministic", "robust")
 
 
@@ -291,7 +292,7 @@ def serialize_tube(tube: ControllableTube, path) -> None:
 
     Each set's A is written as it is held, in canonical CSR form, so a
     set writes the same bytes as every equal set and as its reload.
-    Each set is followed by its canonical min-cost basis (one flag byte,
+    Each set is followed by its canonical basis (one flag byte,
     then one HiGHS status code per latent column and per latent row),
     computed here by the set's emptiness check if it has none yet."""
     with open(path, "wb") as fh:
@@ -308,13 +309,13 @@ def serialize_tube(tube: ControllableTube, path) -> None:
             _write_array(fh, Z.A.data)
             _write_array(fh, Z.b)
             Z.is_empty()
-            basis = Z.support_basis(min_cost_direction(n), compute=False)
+            basis = Z.basis()
             fh.write(b"\x00" if basis is None else b"\x01" + basis.codes().tobytes())
 
 
 def deserialize_tube(path) -> ControllableTube:
-    """Load a tube file of format version 1, 2 or 3; ValueError names
-    what is wrong with a file that is not a well-formed tube."""
+    """Load a tube file of format version 3; ValueError names what is
+    wrong with a file that is not a well-formed version-3 tube."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != TUBE_MAGIC:
@@ -323,31 +324,31 @@ def deserialize_tube(path) -> ControllableTube:
         if len(header) != struct.calcsize("<IBId"):
             raise ValueError("tube file truncated")
         version, kind_code, N, dt = struct.unpack("<IBId", header)
-        if version not in (1, 2, TUBE_VERSION):
+        if version in (1, 2):
+            raise ValueError(
+                f"tube format version {version} is no longer read; "
+                "rebuild the tube with `cztube build-tube`"
+            )
+        if version != TUBE_VERSION:
             raise ValueError(f"unsupported tube format version {version}")
         if kind_code >= len(_KINDS) or N < 1:
             raise ValueError("corrupt tube header")
         digest = fh.read(32)
         if len(digest) != 32:
             raise ValueError("tube file truncated")
-        dims_fmt = "<IIIQ" if version >= 3 else "<III"
         sets = []
         for _ in range(N):
-            dims = struct.unpack(dims_fmt, _read_exact(fh, struct.calcsize(dims_fmt)))
-            n, n_g, n_e = dims[:3]
+            n, n_g, n_e, nnz = struct.unpack("<IIIQ", _read_exact(fh, struct.calcsize("<IIIQ")))
             G = _read_array(fh, n * n_g).reshape(n, n_g)
             c = _read_array(fh, n)
-            if version >= 3:
-                A = _read_csr(fh, n_e, n_g, dims[3])
-            else:
-                A = sp.csr_matrix(_read_array(fh, n_e * n_g).reshape(n_e, n_g))
+            A = _read_csr(fh, n_e, n_g, nnz)
             b = _read_array(fh, n_e)
             Z = ConstrainedZonotope(G, c, A, b)
-            flag = _read_exact(fh, 1) if version > 1 else b"\x00"
+            flag = _read_exact(fh, 1)
             if flag == b"\x01":
                 codes = _read_array(fh, n_g + n_e, "u1")
                 try:
-                    Z.attach_support_basis(min_cost_direction(n), LpBasis.from_codes(codes, n_g))
+                    Z.attach_basis(LpBasis.from_codes(codes, n_g))
                 except ValueError as err:
                     raise ValueError(f"corrupt tube basis: {err}") from None
             elif flag != b"\x00":

@@ -11,7 +11,7 @@ robustness tightenings of the control set and the depletion dynamics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import re
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -186,6 +187,18 @@ def test_rollout_missing_tube_file(det_cfg, tmp_path, capsys):
                  "--tube", str(tmp_path / "nope.cztb"),
                  "--out", str(tmp_path / "t.csv")])
     assert code == EXIT_CONFIG
+
+
+def test_rollout_asks_to_rebuild_a_version_2_tube(det_cfg, det_tube, tmp_path, capsys):
+    raw = bytearray(det_tube.read_bytes())
+    struct.pack_into("<I", raw, 4, 2)
+    old = tmp_path / "v2.cztb"
+    old.write_bytes(bytes(raw))
+    code = main(["rollout", "--config", str(det_cfg), "--tube", str(old),
+                 "--out", str(tmp_path / "t.csv")])
+    assert code == EXIT_CONFIG
+    assert "build-tube" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_rollout_unreachable_start(det_tube, tmp_path, capsys):

@@ -220,18 +220,18 @@ def _cold_copy(z):
     return CZ(z.G, z.c, z.A, z.b)
 
 
-def _with_bases(z, etas):
-    """z, carrying its canonical support basis in each direction."""
-    for eta in etas:
-        z.support_basis(eta)
+def _with_basis(z):
+    """z, carrying its canonical basis."""
+    z.is_empty()
     return z
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-6])
 def test_slice_support_warm_matches_cold(monkeypatch, tol):
     # slices of one parent at random points, some outside it, queried in
-    # random directions: the warm-started support equals a cold solve, and
-    # an empty slice still ends in EmptySetError through a checked ray
+    # the min-cost direction, which warm-starts, and in random ones, which
+    # run cold: each support equals a cold solve, and an empty slice
+    # still ends in EmptySetError through a checked ray
     warm_calls = []
     backend = lp.linprog
 
@@ -242,17 +242,21 @@ def test_slice_support_warm_matches_cold(monkeypatch, tol):
     monkeypatch.setattr(lp, "linprog", spy)
     rng = np.random.default_rng(32)
     outcomes = set()
+    ref = min_cost_direction(4)
     for _ in range(4):
-        etas = [rng.normal(size=4) for _ in range(3)]
-        z = _with_bases(random_cz(rng, dim=4, n_g=10, n_e=3), etas)
+        etas = [ref] + [rng.normal(size=4) for _ in range(2)]
+        z = _with_basis(random_cz(rng, dim=4, n_g=10, n_e=3))
         lo, hi = z.interval_hull()
         for _ in range(6):
             pin = rng.uniform(lo[:2] - 0.3 * (hi[:2] - lo[:2]), hi[:2] + 0.3 * (hi[:2] - lo[:2]))
             sliced = z.slice([0, 1], pin, tol=tol)
             for eta in etas:
+                del warm_calls[:]
                 try:
                     warm = sliced.support(eta)
+                    assert warm_calls[0] is (eta is ref)
                 except EmptySetError:
+                    assert warm_calls[0] is (eta is ref)
                     with pytest.raises(EmptySetError):
                         _cold_copy(sliced).support(eta)
                     outcomes.add("empty")
@@ -261,22 +265,21 @@ def test_slice_support_warm_matches_cold(monkeypatch, tol):
                 assert abs(warm - cold) <= 1e-9 * max(1.0, abs(cold))
                 outcomes.add("nonempty")
     assert outcomes == {"empty", "nonempty"}
-    assert any(warm_calls)
 
 
 def test_slice_support_is_independent_of_query_history():
     # querying slice A first leaves the answer for slice B bitwise as it
     # is when B is queried alone on a fresh copy of the parent
     rng = np.random.default_rng(33)
-    eta = np.array([0.0, 0.0, 1.0, -0.5])
-    z = _with_bases(random_cz(rng, dim=4, n_g=10, n_e=3), [eta])
+    eta = min_cost_direction(4)
+    z = _with_basis(random_cz(rng, dim=4, n_g=10, n_e=3))
     lo, hi = z.interval_hull()
     mid = (z.extreme_point(np.array([1.0, 0.3, 0.0, 0.0]))
            + z.extreme_point(np.array([-1.0, -0.3, 0.0, 0.0]))) / 2.0
     pin_a, pin_b = mid[:2] + 0.1 * (hi[:2] - lo[:2]), mid[:2] - 0.05 * (hi[:2] - lo[:2])
     z.slice([0, 1], pin_a, tol=1e-6).support(eta)
     after_a = z.slice([0, 1], pin_b, tol=1e-6).extreme_point(eta)
-    fresh = _with_bases(_cold_copy(z), [eta])
+    fresh = _with_basis(_cold_copy(z))
     alone = fresh.slice([0, 1], pin_b, tol=1e-6).extreme_point(eta)
     assert np.array_equal(after_a, alone)
 
@@ -294,12 +297,11 @@ def test_image_support_warm_matches_cold(monkeypatch):
 
     monkeypatch.setattr(lp, "linprog", spy)
     rng = np.random.default_rng(34)
-    ref = np.array([0.0, 0.0, 0.0, -1.0])
     for _ in range(4):
-        z = _with_bases(random_cz(rng, dim=4, n_g=10, n_e=3), [ref])
+        z = _with_basis(random_cz(rng, dim=4, n_g=10, n_e=3))
         inside = (z.extreme_point(rng.normal(size=4)) + z.extreme_point(rng.normal(size=4))) / 2
         sliced = z.slice([2, 3], inside[[2, 3]], tol=1e-6)
-        assert not sliced.is_empty(ref)
+        assert not sliced.is_empty()
         assert sliced.latent_basis() is not None
         M = rng.normal(size=(2, 2))
         image = sliced.project([0, 1]).affine_map(M, rng.normal(size=2))
@@ -319,31 +321,25 @@ def test_latent_basis_needs_an_unpruned_image_and_a_settling_lp():
     rng = np.random.default_rng(35)
     z = random_cz(rng, dim=3, n_g=6, n_e=2)
     assert z.project([0]).latent_basis() is None  # emptiness not settled yet
-    z.is_empty(np.array([1.0, 0.0, 0.0]))
+    assert not z.is_empty()
     basis = z.latent_basis()
     assert basis is not None and z.project([0, 1]).latent_basis() is basis
-    # settling again in another direction keeps the first basis
-    z.is_empty(np.array([0.0, 1.0, 0.0]))
-    assert z.latent_basis() is basis
+    # the latent basis is the set's basis, left by the min-cost support LP
+    assert z.basis() is basis
+    assert basis == CZ(z.G, z.c, z.A, z.b)._settle_emptiness()[1]
     # an image that prunes latents has another latent LP
     free = CZ(np.eye(2), np.zeros(2))
-    free.is_empty(np.array([1.0, 0.0]))
+    free.is_empty()
     assert free.latent_basis() is not None
     assert free.project([0]).n_generators == 1
     assert free.project([0]).latent_basis() is None
-    # with no direction given, the min-cost support LP settles emptiness
-    w = random_cz(rng, dim=3, n_g=6, n_e=2)
-    assert not w.is_empty()
-    basis = w.latent_basis()
-    assert basis is not None
-    assert w.support_basis(min_cost_direction(3), compute=False) is basis
 
 
 def test_support_emptiness_check_raises_on_numerical_failure(monkeypatch):
     monkeypatch.setattr(czset, "solve_lp",
                         lambda prob, method="highs", basis=None: LpSolution(LpStatus.NUMERICAL_FAILURE))
     with pytest.raises(LpError):
-        CZ.from_box([-1.0, -1.0], [1.0, 1.0]).is_empty(np.array([1.0, 0.0]))
+        CZ.from_box([-1.0, -1.0], [1.0, 1.0]).is_empty()
 
 
 def test_unbounded_verdict_makes_the_emptiness_check_raise(monkeypatch):

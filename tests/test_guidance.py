@@ -251,20 +251,56 @@ def test_one_step_basis_is_optimal_for_the_state_free_lp(det_toy):
         assert abs(c @ warm.x - c @ cold.x) <= 1e-9 * max(1.0, abs(c @ cold.x))
 
 
+def test_one_step_start_under_cost_coupled_dynamics(det_toy, monkeypatch):
+    # with a cost row that also reads position and velocity, w = A^-T e_8
+    # is not e_8 and the start joined from the canonical bases is not
+    # dual feasible; every warm one-step LP, from the nominal states and
+    # from states off them, still ends as a cold solve
+    scn, dyn, X, U, Xf, tube = det_toy
+    A, B = dyn.A.copy(), dyn.B.copy()
+    A[7, 0], A[7, 3], B[7, 2] = 1e-4, 2e-3, -1e-3
+    coupled = DiscreteDynamics(A, B, dyn.d, dyn.dt)
+    log = forward_rollout(scn.initial_state(), tube, U, dyn)
+    warm = []
+    solve = guidance.solve_lp
+
+    def spy(prob, method="highs", basis=None):
+        sol = solve(prob, method, basis)
+        if basis is not None:
+            warm.append((prob, sol))
+        return sol
+
+    monkeypatch.setattr(guidance, "solve_lp", spy)
+    fresh = _fresh(tube)
+    offset = np.array([2.0, -1.0, 1.0, 0.2, -0.1, 0.1, 0.0, 0.0])
+    for rec in log.records:
+        for state in (rec.state, rec.state + offset, rec.state - offset):
+            try:
+                one_step_ocp(state, fresh.cs(rec.k + 1), U, coupled)
+            except InfeasibleError:
+                pass
+    assert len(warm) == 3 * len(log.records)
+    for prob, sol in warm:
+        cold = lp.solve_lp(prob)
+        assert sol.status == cold.status
+        if cold.status == LpStatus.OPTIMAL:
+            assert abs(sol.objective_value - cold.objective_value) <= 1e-9 * max(
+                1.0, abs(cold.objective_value))
+
+
 def test_queries_never_compute_a_tube_set_basis(det_toy, monkeypatch):
     # the scan, the rollout and the deferred rollout only read the bases
-    # the tube sets carry; the control set's small basis is the one they
-    # compute, besides the min-cost bases that the deferred rollout's
-    # emptiness checks of its effective sets yield with their verdicts
+    # that the tube sets and the control set carry; the only emptiness
+    # LPs they solve are the deferred rollout's checks of its effective
+    # sets
     scn, dyn, X, U, Xf, tube = det_toy
     fresh = _fresh(tube)
-    computed = set()
-    support_basis = ConstrainedZonotope.support_basis
+    settled = []
+    settle = ConstrainedZonotope._settle_emptiness
 
-    def spy(self, eta, compute=True):
-        if compute:
-            computed.add(id(self))
-        return support_basis(self, eta, compute)
+    def spy(self):
+        settled.append(id(self))
+        return settle(self)
 
     effective = []
     make_effective = guidance.effective_tube_set
@@ -273,12 +309,31 @@ def test_queries_never_compute_a_tube_set_basis(det_toy, monkeypatch):
         effective.append(make_effective(*args))
         return effective[-1]
 
-    monkeypatch.setattr(ConstrainedZonotope, "support_basis", spy)
+    monkeypatch.setattr(ConstrainedZonotope, "_settle_emptiness", spy)
     forward_rollout(scn.initial_state(), fresh, U, dyn)
-    assert computed == {id(U)}
+    assert settled == []
     monkeypatch.setattr(guidance, "effective_tube_set", effective_spy)
     ddto_rollout(scn.initial_state(), fresh, np.array([8.0, 0.0, 0.0]), U, dyn)
-    assert computed - {id(U)} <= {id(Z) for Z in effective}
+    assert settled and set(settled) <= {id(Z) for Z in effective}
+
+
+def test_rollout_solves_no_lp_on_the_control_set(det_toy, monkeypatch):
+    # the one-step start reads the basis that the control set's emptiness
+    # check left in build_control_set; no second LP on U is solved for it
+    scn, dyn, X, U, Xf, tube = det_toy
+    U = build_control_set(scn, 30)
+    on_u = []
+    backend = lp.linprog
+
+    def spy(prob, method="highs", basis=None):
+        if prob.E.shape == U.A.shape and (prob.E != U.A).nnz == 0:
+            on_u.append(prob)
+        return backend(prob, method, basis)
+
+    monkeypatch.setattr(lp, "linprog", spy)
+    log = forward_rollout(scn.initial_state(), _fresh(tube), U, dyn)
+    assert log.records
+    assert on_u == []
 
 
 def test_scan_and_step_are_independent_of_query_history(det_toy):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cztube.czset import ConstrainedZonotope, NotFullDimensionalError
+from cztube.czset import ConstrainedZonotope
 from cztube.landing import DiscreteDynamics, LandingScenario
 from cztube.tube import (
     ControllableTube,
@@ -16,7 +16,6 @@ from cztube.tube import (
     deterministic_recursion,
     deserialize_tube,
     make_full_dim_terminal,
-    min_cost_direction,
     robust_recursion,
     scenario_digest,
     serialize_tube,
@@ -289,9 +288,8 @@ def test_latent_with_only_a_stored_zero_is_pruned_and_its_tube_loads(tmp_path):
     path = tmp_path / "zero.cztb"
     serialize_tube(ControllableTube([Z], 1.0, "deterministic"), path)
     back = deserialize_tube(path).cs(1)
-    eta = min_cost_direction(1)
-    assert Z.support_basis(eta, compute=False) is not None
-    assert back.support_basis(eta, compute=False) == Z.support_basis(eta, compute=False)
+    assert Z.basis() is not None
+    assert back.basis() == Z.basis()
 
 
 def _toy_tube():
@@ -305,56 +303,24 @@ def test_recursion_and_tube_file_carry_the_cost_bases(tmp_path):
     # every set is made with its min-cost basis, and a loaded set carries
     # the same one without solving anything
     tube = _toy_tube()
-    eta = min_cost_direction(1)
-    bases = [Z.support_basis(eta, compute=False) for Z in tube.sets]
+    bases = [Z.basis() for Z in tube.sets]
     assert all(b is not None for b in bases)
     assert not any(Z.is_empty() for Z in tube.sets)
     path = tmp_path / "toy.tube"
     serialize_tube(tube, path)
     back = deserialize_tube(path)
-    assert [Z.support_basis(eta, compute=False) for Z in back.sets] == bases
+    assert [Z.basis() for Z in back.sets] == bases
 
 
-def test_version_1_tube_file_loads_without_bases(tmp_path):
-    Z = interval(-1.0, 2.0)
-    raw = b"CZTB" + struct.pack("<IBId", 1, 0, 1, 1.0) + b"\x00" * 32
+@pytest.mark.parametrize("version", [1, 2])
+def test_version_1_and_2_tube_files_ask_for_a_rebuild(tmp_path, version):
+    # the header alone decides: no set of an older file is read
+    raw = b"CZTB" + struct.pack("<IBId", version, 0, 1, 1.0) + b"\x00" * 32
     raw += struct.pack("<III", 1, 1, 0) + np.array([1.5, 0.5]).tobytes()
-    path = tmp_path / "v1.tube"
+    path = tmp_path / f"v{version}.tube"
     path.write_bytes(raw)
-    back = deserialize_tube(path)
-    W = back.cs(1)
-    assert np.array_equal(W.G, Z.G) and np.array_equal(W.c, Z.c)
-    assert W.support_basis(min_cost_direction(1), compute=False) is None
-
-
-def _version_2_bytes(tube):
-    """The tube in format version 2: A dense, then the basis block."""
-    raw = b"CZTB" + struct.pack("<IBId", 2, 0, tube.N, tube.dt) + tube.scenario_hash
-    for Z in tube.sets:
-        basis = Z.support_basis(min_cost_direction(Z.dim), compute=False)
-        raw += struct.pack("<III", Z.dim, Z.n_generators, Z.n_constraints)
-        raw += Z.G.tobytes() + Z.c.tobytes() + Z.A.toarray().tobytes() + Z.b.tobytes()
-        raw += b"\x00" if basis is None else b"\x01" + basis.codes().tobytes()
-    return raw
-
-
-def test_version_2_tube_file_loads_like_its_version_3_rewrite(tmp_path):
-    v2 = tmp_path / "v2.cztb"
-    v2.write_bytes(_version_2_bytes(_landing_toy_tube()))
-    old = deserialize_tube(v2)
-    v3 = tmp_path / "v3.cztb"
-    serialize_tube(old, v3)
-    assert struct.unpack_from("<I", v3.read_bytes(), 4)[0] == 3
-    new = deserialize_tube(v3)
-    eta = min_cost_direction(8)
-    for Z, W in zip(old.sets, new.sets):
-        for a, b in ((Z.G, W.G), (Z.c, W.c), (Z.A.indptr, W.A.indptr),
-                     (Z.A.indices, W.A.indices), (Z.A.data, W.A.data), (Z.b, W.b)):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
-        assert Z.A.indices.dtype == np.int32 and Z.A.indptr.dtype == np.int32
-        assert Z.support_basis(eta, compute=False) == W.support_basis(eta, compute=False)
-    assert all(W.support_basis(eta, compute=False) is not None for W in new.sets[:-1])
+    with pytest.raises(ValueError, match=f"version {version} .*build-tube"):
+        deserialize_tube(path)
 
 
 def _csr_tube_file(tmp_path):
