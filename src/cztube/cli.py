@@ -70,10 +70,20 @@ def _parse_value(val: str):
         return val
 
 
-def require(cfg: dict, key: str):
+def scalar(cfg: dict, key: str, kind=float, default=None):
+    """The number under ``key`` as ``kind`` (float or int), or ``default``
+    when the key is absent.  ConfigError naming the key when it is absent
+    and has no default, or holds anything but one number of that kind."""
     if key not in cfg:
-        raise ConfigError(f"missing required config key '{key}'")
-    return cfg[key]
+        if default is None:
+            raise ConfigError(f"missing required config key '{key}'")
+        return default
+    val = cfg[key]
+    if not isinstance(val, float):
+        raise ConfigError(f"{key} must be a single number, not {val!r}")
+    if kind is int and not (math.isfinite(val) and val == int(val)):
+        raise ConfigError(f"{key} must be an integer, not {val!r}")
+    return kind(val)
 
 
 def scenario_from_config(cfg: dict) -> LandingScenario:
@@ -84,20 +94,19 @@ def scenario_from_config(cfg: dict) -> LandingScenario:
     )
     for key in scalar_keys:
         if f"scenario.{key}" in cfg:
-            kwargs[key] = float(cfg[f"scenario.{key}"])
+            kwargs[key] = scalar(cfg, f"scenario.{key}")
     for key in ("theta_max_deg", "gamma_max_deg"):
         if f"scenario.{key}" in cfg:
-            kwargs[key.replace("_deg", "")] = math.radians(float(cfg[f"scenario.{key}"]))
+            kwargs[key.replace("_deg", "")] = math.radians(scalar(cfg, f"scenario.{key}"))
     for key in ("r_i", "v_i", "r_f", "v_f"):
         if f"scenario.{key}" in cfg:
             val = cfg[f"scenario.{key}"]
             if not isinstance(val, list) or len(val) != 3:
                 raise ConfigError(f"scenario.{key} must be a 3-element comma list")
             kwargs[key] = np.asarray(val)
-    if "scenario.n_points" in cfg:
-        kwargs["n_points"] = int(cfg["scenario.n_points"])
-    if "scenario.N" in cfg:
-        kwargs["N"] = int(cfg["scenario.N"])
+    for key in ("n_points", "N"):
+        if f"scenario.{key}" in cfg:
+            kwargs[key] = scalar(cfg, f"scenario.{key}", int)
     try:
         return LandingScenario(**kwargs)
     except ValueError as exc:
@@ -106,10 +115,10 @@ def scenario_from_config(cfg: dict) -> LandingScenario:
 
 def uncertainty_from_config(cfg: dict) -> uncertainty.UncertaintyModel:
     return uncertainty.landing_uncertainty_model(
-        sigma3_u=float(require(cfg, "uncertainty.sigma3_u")),
-        sigma3_r_rate=float(require(cfg, "uncertainty.sigma3_r_rate")),
-        sigma3_v_rate=float(require(cfg, "uncertainty.sigma3_v_rate")),
-        lam=float(require(cfg, "uncertainty.lambda")),
+        sigma3_u=scalar(cfg, "uncertainty.sigma3_u"),
+        sigma3_r_rate=scalar(cfg, "uncertainty.sigma3_r_rate"),
+        sigma3_v_rate=scalar(cfg, "uncertainty.sigma3_v_rate"),
+        lam=scalar(cfg, "uncertainty.lambda"),
     )
 
 
@@ -131,9 +140,9 @@ def _write_csv(path, header, rows):
 
 def cmd_approx_cone(args) -> int:
     cfg = parse_config(args.config)
-    t_max = float(require(cfg, "cone.t_max"))
-    dim = int(cfg.get("cone.dim", 4))
-    k = args.k if args.k is not None else int(cfg.get("cone.k", 302))
+    t_max = scalar(cfg, "cone.t_max")
+    dim = scalar(cfg, "cone.dim", int, 4)
+    k = args.k if args.k is not None else scalar(cfg, "cone.k", int, 302)
     vertices, _ = cqc_inner_approx(CompactQuadraticCone(dim, t_max), k)
     header = [f"x{i+1}" for i in range(dim)]
     _write_csv(args.out, header, [[float(v) for v in row] for row in vertices])
@@ -171,7 +180,7 @@ def cmd_build_tube(args) -> int:
         if scn.N is None:
             raise ConfigError("robust build requires scenario.N")
         _, schedule, U_rob, Xf_full, dyn_wc = tube_mod.robust_parts(
-            scn, uncertainty_from_config(cfg), int(cfg.get("tube.pre_steps", 2))
+            scn, uncertainty_from_config(cfg), scalar(cfg, "tube.pre_steps", int, 2)
         )
         X = landing.build_state_set(scn)
         result = tube_mod.robust_recursion(
@@ -302,7 +311,7 @@ def cmd_montecarlo(args) -> int:
     # the schedule spans the loaded tube's horizon
     scn = dataclasses.replace(scn, N=loaded.N)
     dyn, schedule, U_rob, Xf_full, _ = tube_mod.robust_parts(
-        scn, model, int(cfg.get("tube.pre_steps", 2))
+        scn, model, scalar(cfg, "tube.pre_steps", int, 2)
     )
     summary = guidance.monte_carlo(
         scn, loaded, model, schedule, U_rob, Xf_full, dyn, args.trials, args.seed

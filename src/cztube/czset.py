@@ -571,7 +571,6 @@ class ConstrainedZonotope:
         # |Gamma|), s (n_g latent half-widths), xi_hat (n_g latent center),
         # h (n_g bounds on |xi_hat|), xi^p (n_g per probe direction)
         ng_m = n_g * m
-        off_T = ng_m
         off_s = 2 * ng_m
         off_hat = off_s + n_g
         off_h = off_hat + n_g
@@ -593,71 +592,34 @@ class ConstrainedZonotope:
         w_reg = w_reg + 1e-6 * max(float(w_reg.max()), 1.0)
         c_obj[off_s : off_s + n_g] = -0.01 * w_reg / w_reg.sum()
 
-        Gs = sp.csr_matrix(self.G)
-        eq_rows = [sp.block_diag([Gs] * m, format="csr")]
-        f_parts = [np.concatenate(gens)]
-        if n_e:
-            eq_rows.append(sp.block_diag([self.A] * m, format="csr"))
-            f_parts.append(np.zeros(n_e * m))
-        E_left = sp.vstack(eq_rows, format="csr") if n_e else eq_rows[0]
-        E = sp.hstack(
-            [E_left, sp.csr_matrix((E_left.shape[0], nv - ng_m))], format="csr"
+        # equalities: G Gamma_j = g_j and A Gamma_j = 0 for every j, and
+        # each probe point is a feasible latent of Z: A xi^p = b
+        G_m = sp.block_diag([sp.csr_matrix(self.G)] * m)
+        E = sp.block_diag([
+            sp.vstack([G_m, sp.block_diag([self.A] * m)]),
+            sp.csr_matrix((0, off_p - ng_m)),  # T, s, xi_hat, h
+            sp.block_diag([self.A] * P),
+        ], format="csr")
+        f = np.concatenate([np.concatenate(gens), np.zeros(n_e * m), np.tile(self.b, P)])
+        In, I_gm = sp.eye(n_g), sp.eye(ng_m)
+        pm_In = sp.vstack([In, -In])
+        H = sp.bmat(
+            [
+                # |Gamma| <= T
+                [I_gm, -I_gm, None, None, None, None],
+                [-I_gm, -I_gm, None, None, None, None],
+                # |xi_hat| <= h
+                [None, None, None, In, -In, None],
+                [None, None, None, -In, -In, None],
+                # h_i + s_i + sum_j T_j,i <= 1
+                [None, sp.hstack([In] * m), In, None, In, None],
+                # probe point inside the contracted interval, per probe
+                # and sign +-1: +-(xi^p - xi_hat) <= s
+                [None, None, sp.vstack([-In] * (2 * P)), sp.vstack([-pm_In] * P),
+                 None, sp.block_diag([pm_In] * P)],
+            ],
+            format="csr",
         )
-        if n_e:
-            # each probe point is a feasible latent of Z: A xi^p = b
-            probe_eq = sp.hstack(
-                [
-                    sp.csr_matrix((P * n_e, off_p)),
-                    sp.block_diag([self.A] * P, format="csr"),
-                ],
-                format="csr",
-            )
-            E = sp.vstack([E, probe_eq], format="csr")
-            f_parts.append(np.tile(self.b, P))
-        f = np.concatenate(f_parts)
-
-        I_m = sp.eye(ng_m, format="csr")
-        In = sp.eye(n_g, format="csr")
-
-        def zeros(r, c):
-            return sp.csr_matrix((r, c))
-
-        S_T = sp.hstack([In] * m, format="csr")
-        H_rows = [
-            # |Gamma| <= T
-            sp.hstack([I_m, -I_m, zeros(ng_m, nv - 2 * ng_m)], format="csr"),
-            sp.hstack([-I_m, -I_m, zeros(ng_m, nv - 2 * ng_m)], format="csr"),
-            # |xi_hat| <= h
-            sp.hstack(
-                [zeros(n_g, off_hat), In, -In, zeros(n_g, nv - off_p)], format="csr"
-            ),
-            sp.hstack(
-                [zeros(n_g, off_hat), -In, -In, zeros(n_g, nv - off_p)], format="csr"
-            ),
-            # h_i + s_i + sum_j T_j,i <= 1
-            sp.hstack(
-                [zeros(n_g, ng_m), S_T, In, zeros(n_g, n_g), In, zeros(n_g, nv - off_p)],
-                format="csr",
-            ),
-        ]
-        for p_idx in range(P):
-            # probe point inside the contracted interval: |xi^p - xi_hat| <= s
-            before = off_p + p_idx * n_g
-            for sign in (1.0, -1.0):
-                H_rows.append(
-                    sp.hstack(
-                        [
-                            zeros(n_g, off_s),
-                            -In,
-                            -sign * In,
-                            zeros(n_g, before - off_h),
-                            sign * In,
-                            zeros(n_g, nv - before - n_g),
-                        ],
-                        format="csr",
-                    )
-                )
-        H = sp.vstack(H_rows, format="csr")
         g_rhs = np.concatenate(
             [np.zeros(2 * ng_m + 2 * n_g), np.ones(n_g), np.zeros(2 * P * n_g)]
         )

@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from .czset import ConstrainedZonotope, EmptySetError, min_cost_direction
 from .landing import STATE_DIM, DiscreteDynamics, LandingScenario
 from .lp import BASIC, NONBASIC, LinearProgram, LpBasis, LpError, LpStatus, solve_lp
-from .tube import ControllableTube
+from .tube import ControllableTube, eroded_target
 from .uncertainty import DisturbanceSchedule, UncertaintyModel
 
 SLICE_TOL = 1e-6
@@ -321,81 +321,50 @@ def full_horizon_oracle(
     ngX, ngu, ngf = GX.shape[1], Gu.shape[1], Gf.shape[1]
     n = STATE_DIM
     # variable layout: y_1..y_{T+1} | xi_X,1..T | xi_u,1..T | xi_f
-    off_y = 0
-    off_X = n * (T + 1)
-    off_u = off_X + ngX * T
-    off_f = off_u + ngu * T
-    nv = off_f + ngf
-    rows, cols, vals, f_rhs = [], [], [], []
-    row = 0
+    off_u = n * (T + 1) + ngX * T
+    nv = off_u + ngu * T + ngf
+    at_k, at_next = sp.eye(T, T + 1), sp.eye(T, T + 1, k=1)
 
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
+    def over(M, below):
+        """M above as many zero rows as ``below`` has."""
+        return sp.vstack([sp.csr_matrix(M), sp.csr_matrix((below.shape[0], M.shape[1]))])
 
-    def add_block(r0, c0, M):
-        M = np.atleast_2d(M)
-        nz = np.nonzero(M)
-        for i, j in zip(*nz):
-            add(r0 + i, c0 + j, M[i, j])
-
-    # initial physical state
-    for i in range(n - 1):
-        add(row, off_y + i, 1.0)
-        f_rhs.append(x_i[i])
-        row += 1
-    if fixed_cost is not None:
-        add(row, off_y + n - 1, 1.0)
-        f_rhs.append(float(fixed_cost))
-        row += 1
-    # dynamics: y_{k+1} - A y_k - B Gu xi_u,k = d + B cu, with Au xi_u,k = bu
-    Aud = Au.toarray() if Au.shape[0] else np.zeros((0, ngu))
-    for k in range(T):
-        add_block(row, off_y + n * (k + 1), np.eye(n))
-        add_block(row, off_y + n * k, -dyn.A)
-        add_block(row, off_u + ngu * k, -dyn.B @ Gu)
-        f_rhs.extend(dyn.d + dyn.B @ cu)
-        row += n
-        if Aud.shape[0]:
-            add_block(row, off_u + ngu * k, Aud)
-            f_rhs.extend(bu)
-            row += Aud.shape[0]
-    # path membership: y_k = GX xi_X,k + cX, AX xi_X,k = bX  (k = 1..T)
-    AXd = AX.toarray() if AX.shape[0] else np.zeros((0, ngX))
-    for k in range(T):
-        add_block(row, off_y + n * k, np.eye(n))
-        add_block(row, off_X + ngX * k, -GX)
-        f_rhs.extend(cX)
-        row += n
-        if AXd.shape[0]:
-            add_block(row, off_X + ngX * k, AXd)
-            f_rhs.extend(bX)
-            row += AXd.shape[0]
-    # terminal membership
-    add_block(row, off_y + n * T, np.eye(n))
-    add_block(row, off_f, -Gf)
-    f_rhs.extend(cf)
-    row += n
-    Afd = Af.toarray() if Af.shape[0] else np.zeros((0, ngf))
-    if Afd.shape[0]:
-        add_block(row, off_f, Afd)
-        f_rhs.extend(bf)
-        row += Afd.shape[0]
-
-    E = sp.csr_matrix((vals, (rows, cols)), shape=(row, nv))
-    f = np.asarray(f_rhs, dtype=float)
+    fixed = [] if fixed_cost is None else [float(fixed_cost)]
+    E = sp.bmat(
+        [
+            # initial physical state, and the cost-to-go when it is fixed
+            [sp.eye(n - 1 + len(fixed), n * (T + 1)), None, None, None],
+            # dynamics: y_{k+1} - A y_k - B Gu xi_u,k = d + B cu, with
+            # Au xi_u,k = bu  (k = 1..T)
+            [sp.kron(at_next, over(np.eye(n), Au)) + sp.kron(at_k, over(-dyn.A, Au)),
+             None, sp.kron(sp.eye(T), sp.vstack([sp.csr_matrix(-dyn.B @ Gu), Au])), None],
+            # path membership: y_k = GX xi_X,k + cX, AX xi_X,k = bX  (k = 1..T)
+            [sp.kron(at_k, over(np.eye(n), AX)),
+             sp.kron(sp.eye(T), sp.vstack([sp.csr_matrix(-GX), AX])), None, None],
+            # terminal membership
+            [sp.kron(sp.eye(1, T + 1, k=T), over(np.eye(n), Af)),
+             None, None, sp.vstack([sp.csr_matrix(-Gf), Af])],
+        ],
+        format="csr",
+    )
+    E.eliminate_zeros()
+    f = np.concatenate([
+        x_i[: n - 1], fixed,
+        np.tile(np.concatenate([dyn.d + dyn.B @ cu, bu]), T),
+        np.tile(np.concatenate([cX, bX]), T),
+        cf, bf,
+    ])
     lb = np.concatenate([np.full(n * (T + 1), -np.inf), -np.ones(nv - n * (T + 1))])
     ub = np.concatenate([np.full(n * (T + 1), np.inf), np.ones(nv - n * (T + 1))])
     c_obj = np.zeros(nv)
     if fixed_cost is None:
-        c_obj[off_y + n - 1] = 1.0
+        c_obj[n - 1] = 1.0
     sol = solve_lp(LinearProgram(c_obj, E, f, lb=lb, ub=ub))
     if sol.status == LpStatus.INFEASIBLE:
         raise InfeasibleError(f"no feasible {T}-step trajectory from this state")
     if sol.status != LpStatus.OPTIMAL:
         raise LpError(f"full-horizon LP ended with status {sol.status}")
-    Y = sol.x_opt[off_y : off_y + n * (T + 1)].reshape(T + 1, n)
+    Y = sol.x_opt[: n * (T + 1)].reshape(T + 1, n)
     xi_u = sol.x_opt[off_u : off_u + ngu * T].reshape(T, ngu) if T else np.zeros((0, ngu))
     U = xi_u @ Gu.T + cu
     cost = float(Y[0, -1])
@@ -604,8 +573,7 @@ def monte_carlo(
     eroded = dict(eroded) if eroded else {}
     for k in range(1, N):
         if k not in eroded:
-            nxt = tube.cs(k + 1).minrow_normalize()
-            eroded[k] = nxt.pontryagin_difference(schedule.outer_zonotopes[k - 1])
+            eroded[k] = eroded_target(tube.cs(k + 1), schedule.outer_zonotopes[k - 1])
     for target in eroded.values():
         target.is_empty()
 

@@ -19,6 +19,10 @@ it has not checked against the program's own data:
   with the other HiGHS algorithm.  Callers that cannot proceed raise
   ``LpError``.
 
+There are two algorithms: dual simplex without presolve ("highs") and
+the interior-point method ("highs-ipm").  A solution is the primal
+point, its objective and, after simplex, its basis; no duals are read.
+
 Simplex can start from a given basis (``LpBasis``; an optimal simplex
 run reports its own).  The checks above apply unchanged to a warm run,
 and its retry runs cold.  Callers pass only canonical bases, which
@@ -68,7 +72,7 @@ _COMMON_OPTIONS = {
 # a warm start lets HiGHS choose: primal simplex when the starting basis
 # is primal feasible, dual simplex otherwise
 _WARM_OPTIONS = {"simplex_strategy": 0}
-_METHODS = {"highs": _SIMPLEX_OPTIONS, "highs-ds": _SIMPLEX_OPTIONS, "highs-ipm": _IPM_OPTIONS}
+_METHODS = {"highs": _SIMPLEX_OPTIONS, "highs-ipm": _IPM_OPTIONS}
 _INFEASIBLE = (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kUnboundedOrInfeasible)
 _COLWISE = int(highs.MatrixFormat.kColwise)
 _MINIMIZE = int(highs.ObjSense.kMinimize)
@@ -180,17 +184,12 @@ class LpBasis:
 
 @dataclass
 class LpSolution:
-    """Outcome of ``solve_lp``.  The duals follow SciPy's sign convention
-    (``ineq_duals <= 0``); ``lower_duals``/``upper_duals`` are the column
-    reduced costs split by sign."""
+    """Outcome of ``solve_lp``: the status and, when OPTIMAL, the point,
+    its objective value and the HiGHS basis of a simplex run."""
 
     status: LpStatus
     x_opt: Optional[np.ndarray] = None
     objective_value: Optional[float] = None
-    eq_duals: Optional[np.ndarray] = None
-    ineq_duals: Optional[np.ndarray] = None
-    lower_duals: Optional[np.ndarray] = None
-    upper_duals: Optional[np.ndarray] = None
     highs_basis: Optional[object] = field(default=None, repr=False)
 
     @property
@@ -311,14 +310,12 @@ def single_row_certifies(prob: LinearProgram, rows=None) -> bool:
 @dataclass
 class HighsRun:
     """What one HiGHS run reports: model status, iterations, and the
-    primal/dual solution or the dual ray when the run produced one;
-    ``rows`` is the ``prob.rows()`` the run was given."""
+    primal solution or the dual ray when the run produced one; ``rows``
+    is the ``prob.rows()`` the run was given."""
 
     status: highs.HighsModelStatus
     nit: int
     x: Optional[np.ndarray] = None
-    row_dual: Optional[np.ndarray] = None
-    col_dual: Optional[np.ndarray] = None
     ray: Optional[np.ndarray] = None
     basis: Optional[object] = None
     rows: Optional[tuple] = field(default=None, repr=False)
@@ -327,17 +324,17 @@ class HighsRun:
 def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis] = None) -> HighsRun:
     """One HiGHS run on prob; the only place the solver is called.
 
-    "highs" and "highs-ds" run dual simplex with presolve off, so an
-    infeasibility verdict comes with the simplex's own dual ray at no
-    extra cost, and an optimal run reports its basis.  A given ``basis``
+    "highs" runs dual simplex with presolve off, so an infeasibility
+    verdict comes with the simplex's own dual ray at no extra cost, and
+    an optimal run reports its primal point and basis.  A given ``basis``
     is the simplex's starting basis (HiGHS ``setBasis``), and HiGHS then
     chooses the simplex variant: from a basis that is dual feasible for
     prob, dual simplex repairs only the primal infeasibilities; from one
     that is primal feasible, primal simplex only improves the objective.
     "highs-ipm" runs the interior-point method (presolve and crossover
-    at their defaults); it ignores ``basis`` and yields no ray.  The name
-    is the one the benchmark's tracer (bench/tracing.py) times as the
-    backend call.
+    at their defaults); it ignores ``basis`` and yields no ray.  No run
+    reads duals.  The name is the one the benchmark's tracer
+    (bench/tracing.py) times as the backend call.
     """
     rows = prob.rows()
     A, row_lo, row_hi = rows
@@ -376,8 +373,6 @@ def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis]
     if status == highs.HighsModelStatus.kOptimal:
         sol = solver.getSolution()
         run.x = np.array(sol.col_value, dtype=float)
-        run.row_dual = np.array(sol.row_dual, dtype=float)
-        run.col_dual = np.array(sol.col_dual, dtype=float)
         if simplex:
             run.basis = solver.getBasis()
     elif status in _INFEASIBLE and simplex:
@@ -390,10 +385,10 @@ def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis]
 def solve_lp(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis] = None) -> LpSolution:
     """Solve an LP, classifying the outcome.
 
-    method selects the HiGHS algorithm: "highs" and "highs-ds" run dual
-    simplex without presolve; "highs-ipm" forces the interior-point path,
-    which is much faster on the large sparse programs built by the
-    set-erosion routine.
+    method selects the HiGHS algorithm: "highs" runs dual simplex without
+    presolve; "highs-ipm" runs the interior-point method, which is much
+    faster on the large sparse programs built by the set-erosion
+    routine.
 
     basis warm-starts simplex (IPM ignores it).  Callers pass only
     canonical bases: built from the optimal bases of fixed reference
@@ -427,11 +422,11 @@ def solve_lp(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis
     erosion LP's |Gamma| <= T <= 1).  So it is a solver fault, and every
     caller raises ``LpError`` (exit code 5) on anything but OPTIMAL and
     INFEASIBLE.  An optimal simplex run carries its basis in
-    ``LpSolution.basis``.
+    ``LpSolution.basis``; no solution carries duals.
     """
     sol = _solve_once(prob, method, basis)
     if sol.status == LpStatus.NUMERICAL_FAILURE:
-        fallback = "highs-ds" if method == "highs-ipm" else "highs-ipm"
+        fallback = "highs" if method == "highs-ipm" else "highs-ipm"
         sol = _solve_once(prob, fallback)
     return sol
 
@@ -443,14 +438,14 @@ def _solve_once(prob: LinearProgram, method: str, basis: Optional[LpBasis] = Non
             prob.g.size == 0 or np.all(prob.g >= -FEAS_TOL)
         )
         if feasible:
-            return LpSolution(LpStatus.OPTIMAL, np.zeros(0), 0.0, np.zeros(prob.f.size), np.zeros(prob.g.size))
+            return LpSolution(LpStatus.OPTIMAL, np.zeros(0), 0.0)
         return LpSolution(LpStatus.INFEASIBLE)
     if np.any(prob.lb > prob.ub):
         return LpSolution(LpStatus.INFEASIBLE)
 
     run = linprog(prob, method, basis)
     if run.status in _INFEASIBLE and method == "highs-ipm":
-        run = linprog(prob, "highs-ds")
+        run = linprog(prob, "highs")
     if run.status in _INFEASIBLE:
         certified = run.ray is not None and farkas_certifies(prob, run.ray, run.rows)
         if certified or single_row_certifies(prob, run.rows):
@@ -464,17 +459,7 @@ def _solve_once(prob: LinearProgram, method: str, basis: Optional[LpBasis] = Non
     x = run.x
     if _feasibility_residual(prob, x) > FEAS_TOL:
         return LpSolution(LpStatus.NUMERICAL_FAILURE)
-    n_ub = prob.g.size
-    return LpSolution(
-        LpStatus.OPTIMAL,
-        x,
-        float(prob.c_obj @ x),
-        run.row_dual[n_ub:],
-        run.row_dual[:n_ub],
-        np.maximum(run.col_dual, 0.0),
-        np.minimum(run.col_dual, 0.0),
-        run.basis,
-    )
+    return LpSolution(LpStatus.OPTIMAL, x, float(prob.c_obj @ x), run.basis)
 
 
 def dump_lp(prob: LinearProgram, path) -> None:

@@ -130,6 +130,12 @@ def backward_step(
     return state_set.intersect(pre).minrow_normalize()
 
 
+def eroded_target(cs: ConstrainedZonotope, generators) -> ConstrainedZonotope:
+    """cs minus the centered zonotope of ``generators``, normalized: the
+    set that a robust step steers into."""
+    return cs.pontryagin_difference(generators).minrow_normalize()
+
+
 def deterministic_recursion(
     dyn: DiscreteDynamics,
     state_set: ConstrainedZonotope,
@@ -178,17 +184,13 @@ def robust_recursion(
     """
     if N != schedule.N:
         raise ValueError("horizon does not match disturbance schedule length")
-    cs = terminal_set_fulldim.minrow_normalize().pontryagin_difference(
-        schedule.outer_zonotopes[N - 1]
-    )
-    cs = cs.minrow_normalize()
+    cs = eroded_target(terminal_set_fulldim, schedule.outer_zonotopes[N - 1])
     if cs.is_empty():
         raise RobustInfeasibleError(N)
     sets = [cs]
     for k in range(N - 1, 0, -1):
         t0 = time.perf_counter()
-        eroded = sets[-1].pontryagin_difference(schedule.outer_zonotopes[k - 1])
-        eroded = eroded.minrow_normalize()
+        eroded = eroded_target(sets[-1], schedule.outer_zonotopes[k - 1])
         if eroded.is_empty():
             raise RobustInfeasibleError(k)
         if eroded_sink is not None:

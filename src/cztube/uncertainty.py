@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
+import scipy.special
 
 from .czset import ConstrainedZonotope
 from .landing import (
@@ -28,98 +29,20 @@ from .landing import (
 # -- chi-squared quantiles -------------------------------------------------
 
 
-def _lower_gamma_reg(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x).
-
-    Series expansion for x < a + 1, continued fraction for the upper
-    tail otherwise; both evaluated in log space for stability.
-    """
-    if x < 0 or a <= 0:
-        raise ValueError("invalid incomplete gamma arguments")
-    if x == 0:
-        return 0.0
-    lg = math.lgamma(a)
-    log_prefix = a * math.log(x) - x - lg
-    if x < a + 1.0:
-        # P(a,x) = x^a e^-x / Gamma(a) * sum_n x^n / (a(a+1)...(a+n))
-        term = 1.0 / a
-        total = term
-        n = a
-        for _ in range(1000):
-            n += 1.0
-            term *= x / n
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        return min(1.0, math.exp(log_prefix) * total)
-    # Q(a,x) via Lentz's continued fraction, then P = 1 - Q
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return max(0.0, 1.0 - math.exp(log_prefix) * h)
-
-
 def chi2_cdf(x: float, dof: int) -> float:
     if x <= 0:
         return 0.0
-    return _lower_gamma_reg(dof / 2.0, x / 2.0)
+    return float(scipy.special.gammainc(dof / 2.0, x / 2.0))
 
 
 def chi2_inv_cdf(p: float, dof: int) -> float:
-    """Quantile of the chi-squared distribution, |F(result) - p| <= 1e-10.
-
-    Newton iterations on the CDF, safeguarded by bisection on a bracket
-    grown from the mean.
-    """
+    """Quantile of the chi-squared distribution with dof degrees of
+    freedom, via the inverse regularized lower incomplete gamma."""
     if not 0.0 < p < 1.0:
         raise ValueError("probability must lie strictly in (0, 1)")
     if dof < 1:
         raise ValueError("degrees of freedom must be positive")
-    lo, hi = 0.0, float(dof)
-    while chi2_cdf(hi, dof) < p:
-        lo, hi = hi, hi * 2.0
-    x = 0.5 * (lo + hi)
-    a = dof / 2.0
-    lg = math.lgamma(a)
-    for _ in range(200):
-        err = chi2_cdf(x, dof) - p
-        if err > 0:
-            hi = x
-        else:
-            lo = x
-        if abs(err) <= 1e-12:
-            break
-        # pdf of chi2: x^(a-1) e^(-x/2) / (2^a Gamma(a))
-        log_pdf = (a - 1.0) * math.log(x) - x / 2.0 - a * math.log(2.0) - lg
-        pdf = math.exp(log_pdf)
-        if pdf > 0:
-            step = err / pdf
-            x_new = x - step
-        else:
-            x_new = 0.5 * (lo + hi)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-14 * max(1.0, x):
-            x = x_new
-            break
-        x = x_new
-    return x
+    return 2.0 * float(scipy.special.gammaincinv(dof / 2.0, p))
 
 
 # -- disturbance sets ------------------------------------------------------

@@ -136,6 +136,32 @@ def test_approx_cone_missing_key(tmp_path, capsys):
     assert "cone.t_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, argv",
+    [
+        ("scenario.n_points = 1, 2", ["build-tube", "--max-n", "2"]),
+        ("scenario.g = 1, 2", ["build-tube", "--max-n", "2"]),
+        ("scenario.theta_max_deg = steep", ["build-tube", "--max-n", "2"]),
+        ("scenario.n_points = 30.5", ["build-tube", "--max-n", "2"]),
+        ("scenario.N = 4.5", ["build-tube", "--robust"]),
+        ("uncertainty.lambda = 0.9, 0.95", ["build-tube", "--robust"]),
+        ("tube.pre_steps = 1, 2", ["build-tube", "--robust"]),
+        ("cone.t_max = 4, 4", ["approx-cone"]),
+        ("cone.dim = 4, 4", ["approx-cone"]),
+        ("cone.k = 30.5", ["approx-cone"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_scalar_key_takes_one_number(line, argv, tmp_path, capsys):
+    # a list, a word, or a fraction where an integer belongs is a config
+    # error that names the key, not a crash or a truncated value
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text((ROB_CFG if "--robust" in argv else DET_CFG) + line + "\n")
+    code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert line.split(" = ")[0] in capsys.readouterr().err
+
+
 def test_build_tube_robust_requires_uncertainty(det_cfg, tmp_path, capsys):
     code = main(["build-tube", "--config", str(det_cfg), "--robust",
                  "--out", str(tmp_path / "t.cztb")])

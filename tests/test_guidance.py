@@ -588,6 +588,20 @@ def test_monte_carlo_repeatable_and_reuses_eroded(robust_toy):
     assert not np.array_equal(a.results[0].terminal_state, c.results[0].terminal_state)
 
 
+def test_monte_carlo_without_targets_erodes_like_the_build(robust_toy):
+    # the targets monte_carlo erodes itself are the recursion's eroded
+    # targets, so the trials come out bitwise the same
+    scn, dyn, model, sched, U_rob, Tf, tube, sink = robust_toy
+    a = monte_carlo(
+        scn, tube, model, sched, U_rob, Tf, dyn, trials=3, master_seed=11, eroded=sink
+    )
+    b = monte_carlo(scn, tube, model, sched, U_rob, Tf, dyn, trials=3, master_seed=11)
+    for ra, rb in zip(a.results, b.results):
+        assert ra.success == rb.success
+        assert np.array_equal(ra.terminal_state, rb.terminal_state)
+        assert ra.fuel_kg == rb.fuel_kg
+
+
 def test_monte_carlo_trial_results_carry_metadata(robust_toy):
     scn, dyn, model, sched, U_rob, Tf, tube, sink = robust_toy
     mc = monte_carlo(

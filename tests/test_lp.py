@@ -93,40 +93,6 @@ def test_determinism_repeated_solves():
         assert np.array_equal(a.x_opt, b.x_opt)
 
 
-def test_dual_certificate_on_random_lps():
-    # weak duality: the returned multipliers must certify the objective
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = rng.integers(2, 12)
-        m_eq = rng.integers(0, 3)
-        m_ub = rng.integers(1, 6)
-        x_feas = rng.uniform(-0.5, 0.5, size=n)
-        E = rng.normal(size=(m_eq, n))
-        H = rng.normal(size=(m_ub, n))
-        prob = LinearProgram(
-            c_obj=rng.normal(size=n),
-            E=E,
-            f=E @ x_feas,
-            H=H,
-            g=H @ x_feas + rng.uniform(0.1, 1.0, size=m_ub),
-            lb=-np.ones(n),
-            ub=np.ones(n),
-        )
-        sol = solve_lp(prob)
-        assert sol.status == LpStatus.OPTIMAL
-        y = sol.eq_duals if sol.eq_duals is not None else np.zeros(0)
-        lam = sol.ineq_duals if sol.ineq_duals is not None else np.zeros(0)
-        reduced = prob.c_obj - (E.T @ y if m_eq else 0.0) - H.T @ lam
-        dual_obj = float(prob.f @ y) + float(prob.g @ lam)
-        dual_obj += float(
-            np.sum(np.where(reduced > 0, prob.lb * reduced, prob.ub * reduced))
-        )
-        assert np.all(lam <= 1e-8)
-        assert abs(dual_obj - sol.objective_value) <= 1e-6 * (
-            1.0 + abs(sol.objective_value)
-        )
-
-
 def test_constructed_infeasibility_detected():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -226,7 +192,7 @@ def test_uncertified_infeasible_verdict_is_never_reported(monkeypatch, ray):
     rng = np.random.default_rng(5)
     for _ in range(10):
         prob = _random_feasible_lp(rng)
-        for method in ("highs", "highs-ds", "highs-ipm"):
+        for method in ("highs", "highs-ipm"):
             assert solve_lp(prob, method).status == LpStatus.NUMERICAL_FAILURE
         zero = LinearProgram(np.zeros(prob.n_vars), prob.E, prob.f, prob.H, prob.g,
                              prob.lb, prob.ub)

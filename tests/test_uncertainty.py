@@ -22,18 +22,23 @@ from cztube.uncertainty import (
 )
 
 # quantiles computed by bisection on an independent implementation of
-# the regularized lower incomplete gamma series (mpmath cross-checked)
+# the regularized lower incomplete gamma series (mpmath cross-checked);
+# the per-step probabilities of a 20-step and a 100-step schedule at
+# lambda = 0.95 are from mpmath at 40 digits
 CHI2_REFERENCE = {
     (0.5, 2): 1.386294361119890618834,
     (0.95, 2): 5.991464547107979608,
     (0.95, 3): 7.814727903251178804,
     (0.95, 6): 12.59158724374398420,
     (0.95, 15): 24.99579013972863292,
+    (0.95 ** (1.0 / 20.0), 15): 34.875513768743410,
+    (0.95 ** (1.0 / 100.0), 6): 24.043138551856947,
 }
 
 
 def test_chi2_small_p_tends_to_zero():
-    assert chi2_inv_cdf(1e-12, 3) < 1e-3
+    ref = 2.4179879427180358e-8  # mpmath, 40 digits
+    assert abs(chi2_inv_cdf(1e-12, 3) - ref) <= 1e-14 * ref
 
 
 def test_chi2_dof2_closed_form():
@@ -43,7 +48,7 @@ def test_chi2_dof2_closed_form():
 
 def test_chi2_reference_quantiles():
     for (p, dof), ref in CHI2_REFERENCE.items():
-        assert abs(chi2_inv_cdf(p, dof) - ref) <= 1e-8 * ref
+        assert abs(chi2_inv_cdf(p, dof) - ref) <= 1e-14 * ref
 
 
 def test_chi2_roundtrip_tight():
