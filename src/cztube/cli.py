@@ -55,7 +55,11 @@ def parse_config(path) -> dict:
                 key, val = (part.strip() for part in line.split("=", 1))
                 if not key:
                     raise ConfigError(f"{path}:{ln}: empty key")
-                cfg[key] = _parse_value(val)
+                try:
+                    cfg[key] = _parse_value(val)
+                except ValueError:
+                    raise ConfigError(f"{path}:{ln}: {key} must be a list of numbers, "
+                                      f"not {val!r}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     return cfg

@@ -285,9 +285,17 @@ class ConstrainedZonotope:
             out = self.intersect_affine(E, values)
         else:
             G = np.hstack([self.G, np.zeros((self.dim, m))])
-            rows = sp.hstack([sp.csr_matrix(E @ self.G), -tol * sp.eye(m, format="csr")])
-            A = sp.bmat([[self.A, None], [None, sp.csr_matrix((0, m))]], format="csr")
-            A = sp.vstack([A, rows], format="csr")
+            # A is the parent's rows followed by the pin rows [G[dims], -tol I],
+            # appended to the parent's CSR arrays as the pin rows' nonzeros
+            pins = np.hstack([E @ self.G, -tol * np.eye(m)])
+            r, cols = np.nonzero(pins)
+            P = self.A
+            A = sp.csr_matrix(
+                (np.concatenate([P.data, pins[r, cols]]),
+                 np.concatenate([P.indices, cols.astype(P.indices.dtype)]),
+                 np.concatenate([P.indptr, P.nnz + np.cumsum(np.bincount(r, minlength=m))])),
+                shape=(P.shape[0] + m, G.shape[1]),
+            )
             b = np.concatenate([self.b, values - E @ self.c])
             out = ConstrainedZonotope(G, self.c, A, b)
         out._slice_of = (self, m, banded)

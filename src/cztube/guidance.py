@@ -535,9 +535,16 @@ class MonteCarloSummary:
 
 
 def _thread_count() -> int:
+    """Monte Carlo pool size: CZTUBE_THREADS when set, else the number of
+    CPUs this process may run on."""
     env = os.environ.get("CZTUBE_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"CZTUBE_THREADS must be an integer, not {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

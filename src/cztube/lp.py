@@ -1,10 +1,11 @@
-"""Dense linear-program descriptor and solver backend.
+"""Linear-program descriptor and solver backend.
 
 Every set query (support, containment, emptiness) and every one-step
 control solve in this package reduces to a call into this module.  The
 solve runs on the HiGHS library bundled with SciPy
-(``scipy.optimize._highspy``), and ``solve_lp`` trusts no verdict that
-it has not checked against the program's own data:
+(``scipy.optimize._highspy``), which is given the constraint rows as
+they are stored here, row-wise (CSR), and ``solve_lp`` trusts no verdict
+that it has not checked against the program's own data:
 
 * OPTIMAL: the returned point meets every row within the row-scaled
   ``FEAS_TOL`` and every column bound.
@@ -74,7 +75,7 @@ _COMMON_OPTIONS = {
 _WARM_OPTIONS = {"simplex_strategy": 0}
 _METHODS = {"highs": _SIMPLEX_OPTIONS, "highs-ipm": _IPM_OPTIONS}
 _INFEASIBLE = (highs.HighsModelStatus.kInfeasible, highs.HighsModelStatus.kUnboundedOrInfeasible)
-_COLWISE = int(highs.MatrixFormat.kColwise)
+_ROWWISE = int(highs.MatrixFormat.kRowwise)
 _MINIMIZE = int(highs.ObjSense.kMinimize)
 
 
@@ -143,8 +144,9 @@ class LinearProgram:
 
     def rows(self):
         """Rows as the solver sees them: row_lo <= A x <= row_hi with
-        A = [H; E] in CSC form."""
-        A = sp.vstack([self.H, self.E], format="csc")
+        A = [H; E] in CSR form, which ``linprog`` passes to HiGHS
+        row-wise.  Stacking CSR blocks only concatenates their arrays."""
+        A = sp.vstack([self.H, self.E], format="csr")
         row_lo = np.concatenate([np.full(self.g.size, -np.inf), self.f])
         row_hi = np.concatenate([self.g, self.f])
         return A, row_lo, row_hi
@@ -210,11 +212,18 @@ def _shared_statuses(statuses) -> tuple:
 
 
 def _row_scale(M, rhs):
-    """Residual scale per row: max(1, inf-norm of the row and rhs)."""
+    """Residual scale per row of the CSR matrix M: max(1, inf-norm of the
+    row and rhs).  Read from M's arrays (duplicates summed on a copy
+    first), so M is never changed; an empty row's norm is 0."""
     if M.shape[0] == 0:
         return np.zeros(0)
-    row_max = np.abs(M).max(axis=1)
-    row_max = np.asarray(row_max.todense()).ravel() if sp.issparse(row_max) else np.ravel(row_max)
+    if not M.has_canonical_format:
+        M = M.copy()
+        M.sum_duplicates()
+    row_max = np.zeros(M.shape[0])
+    filled = np.diff(M.indptr) > 0
+    if filled.any():
+        row_max[filled] = np.maximum.reduceat(np.abs(M.data[:M.nnz]), M.indptr[:-1][filled])
     return np.maximum(1.0, np.maximum(row_max, np.abs(rhs)))
 
 
@@ -293,8 +302,11 @@ def single_row_certifies(prob: LinearProgram, rows=None) -> bool:
     SMALL_MATRIX_VALUE.  ``rows`` is as in ``farkas_certifies``.
     """
     A, row_lo, row_hi = prob.rows() if rows is None else rows
-    A = A.tocsr()
-    A.eliminate_zeros()
+    if not A.data.all():
+        # a stored zero times an infinite bound is nan; drop them on a
+        # copy, since A may be the caller's
+        A = A.copy()
+        A.eliminate_zeros()
     a, cols = A.data, A.indices
 
     def activity(upper, lower):
@@ -346,9 +358,10 @@ def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis]
         if solver.setOptionValue(key, value) != highs.HighsStatus.kOk:
             raise ValueError(f"HiGHS rejected option {key}={value!r}")
     # the array overload of passModel takes the numpy buffers as they
-    # are; filling a HighsLp field by field copies them element by element
+    # are; filling a HighsLp field by field copies them element by element.
+    # The rows go in row-wise and HiGHS makes its column-wise copy in C++.
     passed = solver.passModel(
-        prob.n_vars, A.shape[0], A.nnz, _COLWISE, _MINIMIZE, 0.0,
+        prob.n_vars, A.shape[0], A.nnz, _ROWWISE, _MINIMIZE, 0.0,
         prob.c_obj, prob.lb, prob.ub, row_lo, row_hi,
         A.indptr.astype(np.int32, copy=False), A.indices.astype(np.int32, copy=False), A.data,
         np.zeros(prob.n_vars, dtype=np.int32),  # every column continuous

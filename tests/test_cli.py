@@ -142,6 +142,7 @@ def test_approx_cone_missing_key(tmp_path, capsys):
         ("scenario.n_points = 1, 2", ["build-tube", "--max-n", "2"]),
         ("scenario.g = 1, 2", ["build-tube", "--max-n", "2"]),
         ("scenario.theta_max_deg = steep", ["build-tube", "--max-n", "2"]),
+        ("scenario.r_i = 0, abc, 120", ["build-tube", "--max-n", "2"]),
         ("scenario.n_points = 30.5", ["build-tube", "--max-n", "2"]),
         ("scenario.N = 4.5", ["build-tube", "--robust"]),
         ("uncertainty.lambda = 0.9, 0.95", ["build-tube", "--robust"]),

@@ -215,6 +215,38 @@ def test_slice_band_below_solver_resolution_is_exact():
     assert banded.n_generators == z.n_generators + 2
 
 
+def _block_slice_A(z, dims, tol):
+    """The banded slice's A as sparse blocks: [A, 0; G[dims], -tol I]."""
+    m = len(dims)
+    E = np.zeros((m, z.dim))
+    E[np.arange(m), dims] = 1.0
+    rows = sp.hstack([sp.csr_matrix(E @ z.G), -tol * sp.eye(m, format="csr")])
+    A = sp.bmat([[z.A, None], [None, sp.csr_matrix((0, m))]], format="csr")
+    A = sp.vstack([A, rows], format="csr")
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    return A
+
+
+@pytest.mark.parametrize("dims", [[0, 2], [2, 0], [3, 1, 0]])
+def test_banded_slice_rows_match_the_block_construction(dims):
+    # the slice appends the pin rows to the parent's CSR arrays; A is the
+    # canonical form of the block construction, whatever the order of
+    # dims and where G has zero entries, which store nothing
+    rng = np.random.default_rng(36)
+    z = random_cz(rng, dim=4, n_g=9, n_e=3)
+    G = z.G.copy()
+    G[dims[0], [1, 4]] = 0.0
+    G[:, 6] = 0.0  # a latent read by A only
+    z = CZ(G, z.c, z.A, z.b)
+    for tol in (1e-6, SMALL_MATRIX_VALUE):
+        A = z.slice(dims, rng.normal(size=len(dims)), tol=tol).A
+        ref = _block_slice_A(z, dims, tol)
+        assert A.has_canonical_format and A.data.all()
+        assert A.shape == ref.shape and A.indices.dtype == ref.indices.dtype
+        assert _arrays(A) == _arrays(ref)
+
+
 def _cold_copy(z):
     """The same set with no slice origin and no memoized bases."""
     return CZ(z.G, z.c, z.A, z.b)
@@ -373,6 +405,18 @@ def test_queries_leave_the_constraint_matrix_untouched():
     assert Z.contains_point(np.zeros(8))
     _, _, c_k = one_step_ocp(np.zeros(8), Z, CZ.from_box(-np.ones(4), np.ones(4)), dyn)
     assert abs(c_k + 1.0) <= 1e-9
+    # a slice outside the set: its support query ends in a certified
+    # INFEASIBLE, and both certificate checks read the LP's CSR rows
+    outside = Z.slice([0], [3.0], tol=1e-6)
+    sliced = _arrays(outside.A)
+    with pytest.raises(EmptySetError):
+        outside.support(min_cost_direction(8))
+    prob = outside._support_lp(min_cost_direction(8))
+    run = lp.linprog(prob)
+    assert run.rows[0].format == "csr"
+    assert lp.farkas_certifies(prob, run.ray, run.rows)
+    assert lp.single_row_certifies(prob, run.rows)
+    assert _arrays(outside.A) == sliced
     assert _arrays(A) == given
     assert _arrays(Z.A) == held
 

@@ -568,6 +568,21 @@ def test_monte_carlo_zero_noise_deterministic():
     assert all(r.fuel_kg > 0 for r in mc.results)
 
 
+def test_pool_size_follows_the_usable_cpus_and_names_a_bad_setting(monkeypatch):
+    # with CZTUBE_THREADS unset the pool has one worker per CPU this
+    # process may run on (one under `taskset -c 0` on a 2-CPU machine),
+    # not one per CPU of the machine
+    monkeypatch.delenv("CZTUBE_THREADS", raising=False)
+    monkeypatch.setattr(guidance.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(guidance.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert guidance._thread_count() == 1
+    monkeypatch.setenv("CZTUBE_THREADS", "3")
+    assert guidance._thread_count() == 3
+    monkeypatch.setenv("CZTUBE_THREADS", "abc")
+    with pytest.raises(ValueError, match="CZTUBE_THREADS"):
+        guidance._thread_count()
+
+
 def test_monte_carlo_repeatable_and_reuses_eroded(robust_toy):
     scn, dyn, model, sched, U_rob, Tf, tube, sink = robust_toy
     a = monte_carlo(

@@ -15,6 +15,7 @@ from cztube.lp import (
     LpBasis,
     LpStatus,
     _feasibility_residual,
+    _row_scale,
     dump_lp,
     farkas_certifies,
     single_row_certifies,
@@ -273,6 +274,50 @@ def test_row_dropped_by_the_solver_is_certified_by_inspection():
     assert lp.linprog(prob).ray is None
     assert single_row_certifies(prob)
     assert solve_lp(prob).status == LpStatus.INFEASIBLE
+
+
+def test_single_row_check_leaves_given_rows_untouched():
+    # the rows hold a stored zero against an infinite bound; the check
+    # drops it on a copy, not in the caller's matrix
+    A = sp.csr_matrix((np.array([0.0, 1.0]), np.array([0, 1]), np.array([0, 2])), shape=(1, 2))
+    prob = LinearProgram(c_obj=[0.0, 0.0], E=A, f=[2.0], lb=[-np.inf, -1.0], ub=[np.inf, 1.0])
+    assert prob.E is A
+    rows = prob.rows()
+    assert single_row_certifies(prob, (A, rows[1], rows[2]))
+    assert A.nnz == 2 and A.data.tolist() == [0.0, 1.0]
+
+
+def _max_reference(M, rhs):
+    """_row_scale by SciPy's sparse max, on a copy (it sums duplicates in place)."""
+    row_max = np.asarray(abs(M.copy()).max(axis=1).todense()).ravel()
+    return np.maximum(1.0, np.maximum(row_max, np.abs(rhs)))
+
+
+def test_row_scale_matches_the_sparse_max():
+    # rows: empty, a stored zero only, duplicates that cancel, unsorted
+    # duplicates that add up past the rhs, and an empty last row
+    M = sp.csr_matrix(
+        (np.array([0.0, 3.0, -3.0, 2.5, -1.0, 0.5, -1.25, 1.0]),
+         np.array([2, 1, 1, 0, 3, 0, 3, 0]),
+         np.array([0, 0, 1, 4, 8, 8])),
+        shape=(5, 4),
+    )
+    rhs = np.array([0.5, -0.25, 2.0, 1.0, 0.0])
+    given = [a.tobytes() for a in (M.indptr, M.indices, M.data)]
+    scale = _row_scale(M, rhs)
+    assert scale.tolist() == [1.0, 1.0, 2.5, 2.25, 1.0]
+    assert [a.tobytes() for a in (M.indptr, M.indices, M.data)] == given
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        m, n = rng.integers(1, 8), rng.integers(1, 8)
+        nnz = rng.integers(0, 16)
+        r = np.sort(rng.integers(0, m, nnz))
+        data = rng.normal(size=nnz) * 4
+        data[rng.random(nnz) < 0.2] = 0.0
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=m))])
+        M = sp.csr_matrix((data, rng.integers(0, n, nnz), indptr), shape=(m, n))
+        rhs = rng.normal(size=m) * 2
+        assert _row_scale(M, rhs).tobytes() == _max_reference(M, rhs).tobytes()
 
 
 # -- warm starts ------------------------------------------------------------
