@@ -90,25 +90,46 @@ def scalar(cfg: dict, key: str, kind=float, default=None):
     return kind(val)
 
 
+_SCENARIO_SCALARS = ("g", "T_full", "T_max", "T_min", "m_wet", "m_dry", "alpha",
+                     "r_max", "v_max", "dt")
+_SCENARIO_ANGLES = ("theta_max_deg", "gamma_max_deg")
+_SCENARIO_VECTORS = ("r_i", "v_i", "r_f", "v_f")
+_SCENARIO_INTEGERS = ("n_points", "N")
+# every key the readers below take: any other, such as a misspelt one,
+# would be silently ignored, so read_config rejects it
+CONFIG_KEYS = frozenset(
+    [f"scenario.{key}" for key in _SCENARIO_SCALARS + _SCENARIO_ANGLES
+     + _SCENARIO_VECTORS + _SCENARIO_INTEGERS]
+    + ["uncertainty.sigma3_u", "uncertainty.sigma3_r_rate", "uncertainty.sigma3_v_rate",
+       "uncertainty.lambda", "tube.pre_steps", "cone.t_max", "cone.dim", "cone.k"]
+)
+
+
+def read_config(path) -> dict:
+    """``parse_config``; ConfigError naming the file and the first key
+    outside CONFIG_KEYS."""
+    cfg = parse_config(path)
+    unknown = [key for key in cfg if key not in CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"{path}: unknown config key '{unknown[0]}'")
+    return cfg
+
+
 def scenario_from_config(cfg: dict) -> LandingScenario:
     kwargs = {}
-    scalar_keys = (
-        "g", "T_full", "T_max", "T_min", "m_wet", "m_dry", "alpha",
-        "r_max", "v_max", "dt",
-    )
-    for key in scalar_keys:
+    for key in _SCENARIO_SCALARS:
         if f"scenario.{key}" in cfg:
             kwargs[key] = scalar(cfg, f"scenario.{key}")
-    for key in ("theta_max_deg", "gamma_max_deg"):
+    for key in _SCENARIO_ANGLES:
         if f"scenario.{key}" in cfg:
             kwargs[key.replace("_deg", "")] = math.radians(scalar(cfg, f"scenario.{key}"))
-    for key in ("r_i", "v_i", "r_f", "v_f"):
+    for key in _SCENARIO_VECTORS:
         if f"scenario.{key}" in cfg:
             val = cfg[f"scenario.{key}"]
             if not isinstance(val, list) or len(val) != 3:
                 raise ConfigError(f"scenario.{key} must be a 3-element comma list")
             kwargs[key] = np.asarray(val)
-    for key in ("n_points", "N"):
+    for key in _SCENARIO_INTEGERS:
         if f"scenario.{key}" in cfg:
             kwargs[key] = scalar(cfg, f"scenario.{key}", int)
     try:
@@ -143,7 +164,7 @@ def _write_csv(path, header, rows):
 
 
 def cmd_approx_cone(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = read_config(args.config)
     t_max = scalar(cfg, "cone.t_max")
     dim = scalar(cfg, "cone.dim", int, 4)
     k = args.k if args.k is not None else scalar(cfg, "cone.k", int, 302)
@@ -174,7 +195,7 @@ def _step_printer(label):
 
 
 def cmd_build_tube(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = read_config(args.config)
     scn = scenario_from_config(cfg)
     digest = tube_mod.scenario_digest(scn, robust=args.robust)
     t0 = time.perf_counter()
@@ -237,7 +258,7 @@ def _load_tube(path, kind: str):
 
 
 def cmd_rollout(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = read_config(args.config)
     scn = scenario_from_config(cfg)
     loaded = _load_tube(args.tube, "deterministic")
     dyn = discretize(scn)
@@ -260,7 +281,7 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_reach(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = read_config(args.config)
     scn = scenario_from_config(cfg)
     loaded = _load_tube(args.tube, "deterministic")
     if not 1 <= args.step <= loaded.N:
@@ -308,7 +329,7 @@ def _montecarlo_rows(summary):
 
 
 def cmd_montecarlo(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = read_config(args.config)
     scn = scenario_from_config(cfg)
     model = uncertainty_from_config(cfg)
     loaded = _load_tube(args.tube, "robust")

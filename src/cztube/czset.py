@@ -492,7 +492,8 @@ class ConstrainedZonotope:
         """Reduce the latent equalities to linearly independent rows.
 
         Inconsistent dependent rows (b outside the column space of A)
-        yield the canonical empty set.
+        yield the canonical empty set.  The tube recursions do not call
+        it: the LP layer certifies its verdicts on such rows as built.
         """
         n_e, n_g = self.A.shape
         if n_e == 0:

@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from .czset import ConstrainedZonotope, EmptySetError, min_cost_direction
 from .landing import STATE_DIM, DiscreteDynamics, LandingScenario
 from .lp import BASIC, NONBASIC, LinearProgram, LpBasis, LpError, LpStatus, solve_lp
-from .tube import ControllableTube, eroded_target
+from .tube import ControllableTube
 from .uncertainty import DisturbanceSchedule, UncertaintyModel
 
 SLICE_TOL = 1e-6
@@ -455,11 +455,12 @@ def ddto_rollout(
     toward the backup site, keeping both sites reachable; the first time
     the current state leaves the intersection, the intersection empties,
     or the one-step problem fails, it branches (once) back onto the
-    nominal tube and finishes there.  Checking membership of the current
-    state (not just next-step feasibility) is what keeps both sites
-    inside the divert envelope at every pre-branch step: a state can
-    still steer into the next intersection while already violating the
-    backup site's translated path constraints.
+    nominal tube and finishes there as ``forward_rollout`` from that
+    state.  Checking membership of the current state (not just next-step
+    feasibility) is what keeps both sites inside the divert envelope at
+    every pre-branch step: a state can still steer into the next
+    intersection while already violating the backup site's translated
+    path constraints.
     """
     x_i = np.asarray(x_i, dtype=float).ravel()
     delta = _embed_offset(backup_offset)
@@ -475,43 +476,35 @@ def ddto_rollout(
     state = np.concatenate([x_i, [c_star]])
     records = []
     total_cost = c_star
-    branched = False
-    branch_step = None
-    k = k_start
-    while k < tube.N:
+    for k in range(k_start, tube.N):
+        # defer only while the current state is still inside the
+        # intersection (both sites' path constraints hold right now)
         step_result = None
-        if branched:
-            step_result = one_step_ocp(state, tube.cs(k + 1), control_set, dyn)
-        else:
-            # defer only while the current state is still inside the
-            # intersection (both sites' path constraints hold right now)
-            c_here = _min_cost_at_state(eff[k - 1], state[: STATE_DIM - 1])
-            if c_here is not None:
-                target = eff[k]
-                if not target.is_empty():
-                    try:
-                        step_result = one_step_ocp(state, target, control_set, dyn)
-                    except InfeasibleError:
-                        step_result = None
+        if _min_cost_at_state(eff[k - 1], state[: STATE_DIM - 1]) is not None:
+            target = eff[k]
+            if not target.is_empty():
+                try:
+                    step_result = one_step_ocp(state, target, control_set, dyn)
+                except InfeasibleError:
+                    pass
         if step_result is None:
-            # intersection died or the deferred step failed: branch once,
-            # re-enter the nominal tube at the best index for this state
-            branched = True
-            branch_step = k
-            hq = optimal_horizon(state[: STATE_DIM - 1], tube)
-            k = hq.k_star
-            state[-1] = hq.c_star
-            continue
+            # intersection died or the deferred step failed: branch once
+            # and finish as a nominal rollout from the best index for
+            # this state
+            tail = forward_rollout(state[: STATE_DIM - 1], tube, control_set, dyn)
+            if not records and tail.records:
+                total_cost = tail.total_cost
+            return RolloutLog(k_start, records + tail.records, tail.terminal_state,
+                              total_cost, branch_step=k)
         control, next_state, c_k = step_result
         state[-1] = c_k
         records.append(StepRecord(k, state.copy(), control))
-        if not records[:-1]:
+        if len(records) == 1:
             total_cost = c_k
         state = next_state
-        k += 1
     if not tube.cs(tube.N).contains_point(state, tol=START_TOL):
         raise InfeasibleError("deferred rollout did not end inside the terminal set")
-    return RolloutLog(k_start, records, state, total_cost, branch_step)
+    return RolloutLog(k_start, records, state, total_cost)
 
 
 # -- Monte Carlo -----------------------------------------------------------
@@ -580,7 +573,7 @@ def monte_carlo(
     eroded = dict(eroded) if eroded else {}
     for k in range(1, N):
         if k not in eroded:
-            eroded[k] = eroded_target(tube.cs(k + 1), schedule.outer_zonotopes[k - 1])
+            eroded[k] = tube.cs(k + 1).pontryagin_difference(schedule.outer_zonotopes[k - 1])
     for target in eroded.values():
         target.is_empty()
 

@@ -275,16 +275,19 @@ def farkas_certifies(prob: LinearProgram, ray, rows=None) -> bool:
     y = y / peak
     y[np.abs(y) <= RAY_TOL] = 0.0
     slack = FEAS_TOL * float(np.abs(y) @ _row_scale(A, row_hi))
-    rounding = RAY_TOL * (abs(A).T @ np.abs(y))
-    for cand in (y, -y):
+    z_y = A.T @ y
+    rounding = None
+    for cand, z in ((y, z_y), (-y, -z_y)):
         r_min = np.where(cand > 0, row_lo, np.where(cand < 0, row_hi, 0.0))
         if not np.all(np.isfinite(r_min)):
             continue
-        z = A.T @ cand
         x_max = np.where(z > 0, prob.ub, np.where(z < 0, prob.lb, 0.0))
         unbounded = ~np.isfinite(x_max)
-        if np.any(np.abs(z[unbounded]) > rounding[unbounded]):
-            continue
+        if unbounded.any():
+            if rounding is None:
+                rounding = RAY_TOL * (abs(A).T @ np.abs(y))
+            if np.any(np.abs(z[unbounded]) > rounding[unbounded]):
+                continue
         bounded = ~unbounded
         if float(cand @ r_min) - float(z[bounded] @ x_max[bounded]) > slack:
             return True
@@ -474,20 +477,3 @@ def _solve_once(prob: LinearProgram, method: str, basis: Optional[LpBasis] = Non
         return LpSolution(LpStatus.NUMERICAL_FAILURE)
     return LpSolution(LpStatus.OPTIMAL, x, float(prob.c_obj @ x), run.basis)
 
-
-def dump_lp(prob: LinearProgram, path) -> None:
-    """Write a plain-text standard form for diffing against other solvers."""
-    with open(path, "w") as fh:
-        fh.write("minimize\n")
-        fh.write(" ".join(f"{v:.17g}" for v in prob.c_obj) + "\n")
-        fh.write(f"equalities {prob.E.shape[0]}\n")
-        E = prob.E.toarray() if sp.issparse(prob.E) else np.asarray(prob.E)
-        for row, rhs in zip(E, prob.f):
-            fh.write(" ".join(f"{v:.17g}" for v in row) + f" = {rhs:.17g}\n")
-        fh.write(f"inequalities {prob.H.shape[0]}\n")
-        H = prob.H.toarray() if sp.issparse(prob.H) else np.asarray(prob.H)
-        for row, rhs in zip(H, prob.g):
-            fh.write(" ".join(f"{v:.17g}" for v in row) + f" <= {rhs:.17g}\n")
-        fh.write("bounds\n")
-        for lo, hi in zip(prob.lb, prob.ub):
-            fh.write(f"{lo:.17g} {hi:.17g}\n")

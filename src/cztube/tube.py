@@ -5,7 +5,9 @@ which the terminal set is reachable in the remaining steps while
 honoring the path and control constraints.  The backward recursion
 CS_k = X ∩ A^-1(CS_{k+1} ⊕ (-B U - d)) builds the whole tube offline;
 the robust variant additionally erodes each set by the step's bounded
-disturbance before stepping backward.
+disturbance before stepping backward.  Both are plain set algebra: no
+step reduces a set's latent equality rows, and the LP layer certifies
+its verdicts on dependent or inconsistent rows (see ``cztube.lp``).
 
 Each set is made with its canonical basis (``ConstrainedZonotope.basis``),
 the optimal basis of its support LP in the direction of least
@@ -124,16 +126,10 @@ def backward_step(
     control_set: ConstrainedZonotope,
     target: ConstrainedZonotope,
 ) -> ConstrainedZonotope:
-    """X ∩ A^-1(target ⊕ (-B U - d)), normalized."""
+    """X ∩ A^-1(target ⊕ (-B U - d)) as the set algebra builds it."""
     shifted = control_set.affine_map(-dyn.B, -dyn.d)
     pre = target.minkowski_sum(shifted).affine_map(dyn.A_inv)
-    return state_set.intersect(pre).minrow_normalize()
-
-
-def eroded_target(cs: ConstrainedZonotope, generators) -> ConstrainedZonotope:
-    """cs minus the centered zonotope of ``generators``, normalized: the
-    set that a robust step steers into."""
-    return cs.pontryagin_difference(generators).minrow_normalize()
+    return state_set.intersect(pre)
 
 
 def deterministic_recursion(
@@ -184,13 +180,13 @@ def robust_recursion(
     """
     if N != schedule.N:
         raise ValueError("horizon does not match disturbance schedule length")
-    cs = eroded_target(terminal_set_fulldim, schedule.outer_zonotopes[N - 1])
+    cs = terminal_set_fulldim.pontryagin_difference(schedule.outer_zonotopes[N - 1])
     if cs.is_empty():
         raise RobustInfeasibleError(N)
     sets = [cs]
     for k in range(N - 1, 0, -1):
         t0 = time.perf_counter()
-        eroded = eroded_target(sets[-1], schedule.outer_zonotopes[k - 1])
+        eroded = sets[-1].pontryagin_difference(schedule.outer_zonotopes[k - 1])
         if eroded.is_empty():
             raise RobustInfeasibleError(k)
         if eroded_sink is not None:

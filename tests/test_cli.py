@@ -150,12 +150,14 @@ def test_approx_cone_missing_key(tmp_path, capsys):
         ("cone.t_max = 4, 4", ["approx-cone"]),
         ("cone.dim = 4, 4", ["approx-cone"]),
         ("cone.k = 30.5", ["approx-cone"]),
+        ("scenario.n_point = 50", ["build-tube", "--max-n", "2"]),
     ],
     ids=lambda v: v if isinstance(v, str) else "",
 )
 def test_scalar_key_takes_one_number(line, argv, tmp_path, capsys):
-    # a list, a word, or a fraction where an integer belongs is a config
-    # error that names the key, not a crash or a truncated value
+    # a list, a word, a fraction where an integer belongs, or a misspelt
+    # key is a config error that names the key, not a crash, a truncated
+    # value or a silent default
     cfg = tmp_path / "bad.cfg"
     cfg.write_text((ROB_CFG if "--robust" in argv else DET_CFG) + line + "\n")
     code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])

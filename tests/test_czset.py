@@ -585,6 +585,23 @@ def test_minrow_inconsistent_flags_empty():
     assert z.minrow_normalize().is_empty()
 
 
+def test_inconsistent_duplicate_row_is_empty_without_normalization(monkeypatch):
+    # no recursion normalizes, so the emptiness LP meets such rows as
+    # built; no row alone is infeasible, and a checked Farkas ray decides
+    verdicts = []
+    farkas = lp.farkas_certifies
+
+    def spy(prob, ray, rows=None):
+        verdicts.append(farkas(prob, ray, rows))
+        return verdicts[-1]
+
+    monkeypatch.setattr(lp, "farkas_certifies", spy)
+    z = CZ(np.array([[1.0, 0.0]]), [0.0], np.array([[1.0, 0.0], [1.0, 0.0]]), [0.0, 1.0])
+    assert z.n_constraints == 2
+    assert z.is_empty()
+    assert verdicts == [True]
+
+
 def test_minrow_full_rank_preserves_supports():
     rng = np.random.default_rng(6)
     z = random_cz(rng)

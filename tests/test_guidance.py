@@ -84,6 +84,14 @@ def robust_toy():
     return scn, dyn, model, sched, U_rob, Tf, tube, sink
 
 
+def test_toy_tube_sets_are_already_in_min_row_form(det_toy, robust_toy):
+    # why building without minrow_normalize leaves the landing tubes as
+    # they were: it returns every set, and every eroded target, unchanged
+    det_tube, rob_tube, eroded = det_toy[-1], robust_toy[-2], robust_toy[-1]
+    for Z in det_tube.sets + rob_tube.sets + list(eroded.values()):
+        assert Z.minrow_normalize() is Z
+
+
 # -- optimal horizon -------------------------------------------------------
 
 

@@ -16,7 +16,6 @@ from cztube.lp import (
     LpStatus,
     _feasibility_residual,
     _row_scale,
-    dump_lp,
     farkas_certifies,
     single_row_certifies,
     solve_lp,
@@ -106,22 +105,6 @@ def test_constructed_infeasibility_detected():
             ub=np.full(n, 100.0),
         )
         assert solve_lp(prob).status == LpStatus.INFEASIBLE
-
-
-def test_dump_lp_roundtrips_values(tmp_path):
-    prob = LinearProgram(
-        c_obj=[1.0, -2.0],
-        E=[[1.0, 1.0]],
-        f=[0.125],
-        H=[[0.5, 0.0]],
-        g=[3.0],
-        lb=[-1.0, -1.0],
-        ub=[1.0, 1.0],
-    )
-    path = tmp_path / "prob.lp.txt"
-    dump_lp(prob, path)
-    text = path.read_text()
-    assert "0.125" in text and "minimize" in text.lower()
 
 
 # -- the certificate contract ---------------------------------------------
@@ -227,6 +210,67 @@ def test_no_ray_certifies_a_feasible_lp():
         for _ in range(20):
             assert not farkas_certifies(prob, rng.normal(size=m))
         assert not single_row_certifies(prob)
+
+
+def _farkas_two_products(prob, ray):
+    """farkas_certifies as first written: |A|'|y| always, and A'y formed
+    once for y and once for -y.  The reference for the one-product form."""
+    A, row_lo, row_hi = prob.rows()
+    y = np.asarray(ray, dtype=float).ravel()
+    peak = float(np.abs(y).max(initial=0.0))
+    if peak == 0.0:
+        return False
+    y = y / peak
+    y[np.abs(y) <= lp.RAY_TOL] = 0.0
+    slack = FEAS_TOL * float(np.abs(y) @ _row_scale(A, row_hi))
+    rounding = lp.RAY_TOL * (abs(A).T @ np.abs(y))
+    for cand in (y, -y):
+        r_min = np.where(cand > 0, row_lo, np.where(cand < 0, row_hi, 0.0))
+        if not np.all(np.isfinite(r_min)):
+            continue
+        z = A.T @ cand
+        x_max = np.where(z > 0, prob.ub, np.where(z < 0, prob.lb, 0.0))
+        unbounded = ~np.isfinite(x_max)
+        if np.any(np.abs(z[unbounded]) > rounding[unbounded]):
+            continue
+        bounded = ~unbounded
+        if float(cand @ r_min) - float(z[bounded] @ x_max[bounded]) > slack:
+            return True
+    return False
+
+
+def test_farkas_check_matches_the_two_product_form():
+    # random LPs built around a ray y: inequality weights of one sign,
+    # free columns made orthogonal to y up to rounding, and a margin of
+    # either sign set through the last equality row's right-hand side;
+    # y, -y, perturbed and unrelated rays all get the reference verdict
+    rng = np.random.default_rng(17)
+    verdicts = []
+    for trial in range(60):
+        n, m_eq, m_ub = rng.integers(3, 9), rng.integers(1, 4), rng.integers(0, 4)
+        y = np.concatenate([rng.normal(size=m_eq), -rng.uniform(0.1, 1.0, size=m_ub)])
+        E, H = rng.normal(size=(m_eq, n)), rng.normal(size=(m_ub, n))
+        lb, ub = -rng.uniform(0.5, 2.0, size=n), rng.uniform(0.5, 2.0, size=n)
+        free = rng.random(n) < (0.0 if trial % 3 == 0 else 0.4)
+        lb[free], ub[free] = -np.inf, np.inf
+        A = np.vstack([H, E])
+        y_rows = np.concatenate([y[m_eq:], y[:m_eq]])
+        A[:, free] -= np.outer(y_rows, y_rows @ A[:, free]) / (y_rows @ y_rows)
+        H, E = A[:m_ub], A[m_ub:]
+        z, lo, hi = A.T @ y_rows, lb[~free], ub[~free]
+        box_max = float(np.sum(np.where(z[~free] > 0, z[~free] * hi, z[~free] * lo)))
+        g = rng.normal(size=m_ub)
+        f = rng.normal(size=m_eq)
+        margin = rng.uniform(-1.0, 1.0)
+        rest = float(y[m_eq:] @ g + y[: m_eq - 1] @ f[:-1])
+        f[-1] = (box_max + margin - rest) / y[m_eq - 1]
+        prob = LinearProgram(rng.normal(size=n), sp.csr_matrix(E), f, sp.csr_matrix(H), g, lb, ub)
+        for ray in (y_rows, -y_rows, y_rows + 1e-12 * rng.normal(size=y.size),
+                    y_rows + 1e-3 * rng.normal(size=y.size), rng.normal(size=y.size)):
+            ref = _farkas_two_products(prob, ray)
+            assert farkas_certifies(prob, ray) == ref
+            verdicts.append(ref)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_infinite_bounds_in_the_farkas_check():

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from cztube.czset import ConstrainedZonotope
+from cztube.guidance import optimal_horizon
 from cztube.landing import DiscreteDynamics, LandingScenario
 from cztube.tube import (
     ControllableTube,
@@ -95,6 +96,33 @@ def test_backward_step_one_step_self_consistency():
         reach_lo = dyn.step(x, np.array([-1.0]))
         reach_hi = dyn.step(x, np.array([1.0]))
         assert reach_lo[0] <= 2.0 + 1e-9 and reach_hi[0] >= -2.0 - 1e-9
+
+
+def test_scalar_landing_toy_keeps_its_empty_coupling_rows():
+    # criterion 02's toy: position moved by u, cost depleted by sigma.
+    # Six of the 8 coupling rows of each step read 0 = 0, since X, U and
+    # the target all pin those coordinates; the recursion keeps them, so
+    # n_e grows by 9 per step (U's row and all 8 coupling rows), and the
+    # horizon scan reads the same as on a copy with independent rows
+    B = np.zeros((8, 2))
+    B[0, 0], B[7, 1] = 1.0, -1.0
+    dyn = DiscreteDynamics(A=np.eye(8), B=B, d=np.zeros(8), dt=1.0)
+    U = ConstrainedZonotope.from_vertices(np.array([[-1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]))
+    GX = np.zeros((8, 2))
+    GX[0, 0] = GX[7, 1] = 10.0
+    X = ConstrainedZonotope(GX, np.array([0, 0, 0, 0, 0, 0, 0, 10.0]))
+    Xf = ConstrainedZonotope(np.zeros((8, 0)), np.zeros(8))
+    tube = deterministic_recursion(dyn, X, U, Xf, max_N=12)
+    assert [tube.cs(tube.N - j).n_constraints for j in range(tube.N)] == [
+        9 * j for j in range(tube.N)
+    ]
+    reduced = ControllableTube([Z.minrow_normalize() for Z in tube.sets], tube.dt, tube.kind)
+    assert reduced.cs(1).n_constraints == 3 * (tube.N - 1)
+    for x0 in np.random.default_rng(42).uniform(-8.0, 8.0, size=10):
+        x = np.array([x0, 0, 0, 0, 0, 0, 0])
+        built, ref = optimal_horizon(x, tube, tol=1e-12), optimal_horizon(x, reduced, tol=1e-12)
+        assert built.k_star == ref.k_star and built.costs.keys() == ref.costs.keys()
+        assert max(abs(built.costs[k] - ref.costs[k]) for k in built.costs) <= 1e-12
 
 
 def test_deterministic_rejects_empty_terminal():
