@@ -42,8 +42,9 @@ class ConfigError(Exception):
 
 def parse_config(path) -> dict:
     """Read `section.key = value` lines; values become floats, float lists,
-    or strings."""
+    or strings.  A key given twice is a ConfigError naming both lines."""
     cfg = {}
+    line_of = {}
     try:
         with open(path) as fh:
             for ln, raw in enumerate(fh, 1):
@@ -55,6 +56,10 @@ def parse_config(path) -> dict:
                 key, val = (part.strip() for part in line.split("=", 1))
                 if not key:
                     raise ConfigError(f"{path}:{ln}: empty key")
+                if key in line_of:
+                    raise ConfigError(f"{path}:{ln}: {key} is given twice "
+                                      f"(first on line {line_of[key]})")
+                line_of[key] = ln
                 try:
                     cfg[key] = _parse_value(val)
                 except ValueError:
@@ -329,6 +334,8 @@ def _montecarlo_rows(summary):
 
 
 def cmd_montecarlo(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, not {args.trials}")
     cfg = read_config(args.config)
     scn = scenario_from_config(cfg)
     model = uncertainty_from_config(cfg)

@@ -9,9 +9,14 @@ with the equality constraints.
 
 Each set has one canonical simplex basis (``ConstrainedZonotope.basis``):
 the optimal basis of its support LP in the min-cost direction
-(``min_cost_direction``), the LP that settles its emptiness.  The support
-LPs of its slices in that direction and of its affine images start from
-it; every other support LP runs cold.
+(``min_cost_direction``), the LP that settles its emptiness.  Every LP
+on a set (emptiness, or support in any direction) starts from the one
+basis recorded when the set was made (``_start``), derived from the
+bases of its operands: a slice's extends its parent's, dual feasible in
+the min-cost direction; an affine image's and a translate's is its
+source's, primal feasible in every direction; an intersection's joins
+its operands', dual feasible in the min-cost direction.  Any other set
+records none, and its LPs run cold.
 """
 
 from __future__ import annotations
@@ -101,10 +106,12 @@ class ConstrainedZonotope:
     no LP over a set changes its arrays.  Emptiness is settled by one
     LP, the min-cost support LP (``is_empty``), whose optimal basis is
     the set's one canonical basis (``basis``).  It and other values
-    derived from a set are memoized on it (``cached``).
+    derived from a set are memoized on it (``cached``).  Every LP on the
+    set starts from ``_start``, which the operation that made the set
+    records, and never from the set's own basis.
     """
 
-    __slots__ = ("G", "c", "A", "b", "_cache", "_slice_of", "_image_of")
+    __slots__ = ("G", "c", "A", "b", "_cache", "_start")
 
     def __init__(self, G, c, A=None, b=None):
         c = np.asarray(c, dtype=float).ravel()
@@ -141,11 +148,9 @@ class ConstrainedZonotope:
         self.A = A
         self.b = b
         self._cache = {}
-        # (parent, pinned rows, banded) when this set is parent.slice(...)
-        self._slice_of = None
-        # the set whose latent LP this one shares, when it is an affine
-        # image that pruned no latent (``latent_basis``)
-        self._image_of = None
+        # the start of every LP on this set, set once by the operation
+        # that made it (``_offered_start``); None runs them cold
+        self._start = None
 
     # -- representation queries ------------------------------------------
 
@@ -220,12 +225,14 @@ class ConstrainedZonotope:
         r = np.zeros(R.shape[0]) if r is None else np.asarray(r, dtype=float).ravel()
         out = ConstrainedZonotope(R @ self.G, R @ self.c + r, self.A, self.b)
         if out.n_generators == self.n_generators:
-            out._image_of = self if self._image_of is None else self._image_of
+            out._start = self._offered_start()
         return out
 
     def translate(self, t) -> "ConstrainedZonotope":
-        return ConstrainedZonotope(self.G, self.c + np.asarray(t, dtype=float).ravel(),
-                                   self.A, self.b)
+        out = ConstrainedZonotope(self.G, self.c + np.asarray(t, dtype=float).ravel(),
+                                  self.A, self.b)
+        out._start = self._offered_start()
+        return out
 
     def minkowski_sum(self, other: "ConstrainedZonotope") -> "ConstrainedZonotope":
         if other.dim != self.dim:
@@ -248,7 +255,16 @@ class ConstrainedZonotope:
             format="csr",
         )
         b = np.concatenate([self.b, other.b, other.c - self.c])
-        return ConstrainedZonotope(G, self.c, A, b)
+        out = ConstrainedZonotope(G, self.c, A, b)
+        # the operands' latents are all used, so none is pruned here.  In
+        # the min-cost direction the second block has zero cost and the
+        # basic coupling rows carry zero duals, so this start is dual
+        # feasible when the operands' are
+        first, second = self._offered_start(), other._offered_start()
+        if first is not None and second is not None:
+            out._start = LpBasis(first.cols + second.cols,
+                                 first.rows + second.rows + (BASIC,) * self.dim)
+        return out
 
     def intersect_affine(self, H, h) -> "ConstrainedZonotope":
         """Exact {x in Z : H x = h}."""
@@ -270,8 +286,13 @@ class ConstrainedZonotope:
 
         The latent layout is the parent's with the m pin rows appended
         to A and, for a band, m band columns appended after the parent's
-        latents; support LPs on the slice in the min-cost direction
-        warm-start from the parent's basis (``_slice_basis``).
+        latents.  The slice's LPs start from the parent's offered start
+        (``_offered_start``), extended with the band columns basic and the
+        pin rows nonbasic (for an exact slice: the pin rows basic).  In
+        the min-cost direction that gives the pin rows zero dual weight
+        and leaves every other dual and reduced cost as it was, so from
+        the parent's optimal basis it is dual feasible whatever values
+        are pinned, and dual simplex only repairs the pinned rows.
         """
         dims = np.asarray(dims, dtype=int)
         values = np.asarray(values, dtype=float).ravel()
@@ -280,9 +301,11 @@ class ConstrainedZonotope:
         E = np.zeros((dims.size, self.dim))
         E[np.arange(dims.size), dims] = 1.0
         m = dims.size
-        banded = tol >= SMALL_MATRIX_VALUE
-        if not banded:
+        parent = self._offered_start()
+        if tol < SMALL_MATRIX_VALUE:
             out = self.intersect_affine(E, values)
+            if parent is not None:
+                out._start = LpBasis(parent.cols, parent.rows + (BASIC,) * m)
         else:
             G = np.hstack([self.G, np.zeros((self.dim, m))])
             # A is the parent's rows followed by the pin rows [G[dims], -tol I],
@@ -298,53 +321,16 @@ class ConstrainedZonotope:
             )
             b = np.concatenate([self.b, values - E @ self.c])
             out = ConstrainedZonotope(G, self.c, A, b)
-        out._slice_of = (self, m, banded)
+            if parent is not None:
+                out._start = LpBasis(parent.cols + (BASIC,) * m, parent.rows + (NONBASIC,) * m)
         return out
 
-    def _slice_basis(self, eta):
-        """Starting basis for this slice's support LP in direction eta,
-        or None when this set is no slice, eta is not the min-cost
-        direction or the parent carries no basis (``basis``).
-
-        The slice's min-cost support LP is the parent's plus the pin rows
-        (and band columns, whose cost is zero).  The parent's optimal
-        basis, extended with the band columns basic and the pin rows
-        nonbasic (for an exact slice: the pin rows basic), gives the pin
-        rows zero dual weight and leaves every other dual and reduced
-        cost as it was.  It is therefore dual feasible whatever values
-        are pinned, and dual simplex only repairs the pinned rows.  The
-        parent's basis is canonical and the query only reads it, so the
-        answer does not depend on which slices were queried before.
-        """
-        if self._slice_of is None or not np.array_equal(eta, min_cost_direction(self.dim)):
-            return None
-        parent, m, banded = self._slice_of
-        base = parent.basis()
-        if base is None:
-            return None
-        if banded:
-            return LpBasis(base.cols + (BASIC,) * m, base.rows + (NONBASIC,) * m)
-        return LpBasis(base.cols, base.rows + (BASIC,) * m)
-
-    def latent_basis(self) -> Optional[LpBasis]:
-        """An optimal basis of this set's latent LP, or None.
-
-        It is the set's ``basis``; an affine image that pruned no latent
-        (``affine_map``, ``project``) has the same latent LP and reads its
-        source's.  Every support LP of the set and of those images has
-        the same rows and bounds and differs only in its objective, so
-        this basis is primal feasible for each of them.
-        """
-        source = self if self._image_of is None else self._image_of
-        return source.basis()
-
-    def _start_basis(self, eta):
-        """Starting basis of the support LP in direction eta: the slice's
-        dual feasible one (``_slice_basis``), or an image's primal
-        feasible one (``latent_basis``), or None (a cold solve)."""
-        if self._image_of is not None:
-            return self.latent_basis()
-        return self._slice_basis(eta)
+    def _offered_start(self) -> Optional[LpBasis]:
+        """The start this set hands to the sets made from it: its own
+        canonical basis once ``is_empty`` has settled it, else the start
+        it was made with.  It is read once, when the new set is made, so
+        no later query changes the new set's start."""
+        return self.basis() or self._start
 
     def project(self, dims) -> "ConstrainedZonotope":
         dims = np.asarray(dims, dtype=int)
@@ -383,7 +369,7 @@ class ConstrainedZonotope:
     def is_empty(self) -> bool:
         """True iff the set is empty, settled once by one LP: the support
         LP in the min-cost direction (``min_cost_direction``), started
-        from ``_start_basis``.  When it ends optimal, its optimal basis
+        from ``_start``.  When it ends optimal, its optimal basis
         is kept as the set's ``basis``.  An LP that settles nothing
         raises LpError naming its status."""
         return self.cached("emptiness", self._settle_emptiness)[0]
@@ -391,7 +377,7 @@ class ConstrainedZonotope:
     def _settle_emptiness(self):
         """(empty, basis) from the min-cost support LP (``is_empty``)."""
         eta = min_cost_direction(self.dim)
-        sol = solve_lp(self._support_lp(eta), basis=self._start_basis(eta))
+        sol = solve_lp(self._support_lp(eta), basis=self._start)
         if sol.status == LpStatus.INFEASIBLE:
             return True, None
         if sol.status != LpStatus.OPTIMAL:
@@ -404,9 +390,10 @@ class ConstrainedZonotope:
 
     def basis(self) -> Optional[LpBasis]:
         """The set's canonical basis: the optimal basis of the LP that
-        settled ``is_empty``, so it depends on nothing but the set.  None
-        while emptiness is unsettled, for an empty set, and for a set
-        with no generators (whose LP ``solve_lp`` settles by inspection).
+        settled ``is_empty``, so it depends on nothing but the set and
+        its ``_start``.  None while emptiness is unsettled, for an empty
+        set, and for a set with no generators (whose LP ``solve_lp``
+        settles by inspection).
 
         It only reads, and never solves: queries never pay for the
         emptiness LP.  The code that makes a set for repeated queries
@@ -430,7 +417,7 @@ class ConstrainedZonotope:
         if eta.size != self.dim:
             raise ValueError("direction dimension mismatch")
         prob = self._support_lp(eta)
-        sol = solve_lp(prob, basis=self._start_basis(eta))
+        sol = solve_lp(prob, basis=self._start)
         if sol.status == LpStatus.INFEASIBLE:
             raise EmptySetError("support query on an empty set")
         if sol.status != LpStatus.OPTIMAL:

@@ -22,10 +22,11 @@ every answer is independent of the order of the queries before it.  The
 divert footprint (``instantaneous_reachable``) settles the emptiness of
 its slice with the slice's min-cost support LP, warm from the same
 basis, and every support LP of the footprint starts from that LP's
-optimal basis, which is primal feasible for all of them.  Sets made
-online, such as the effective sets of ``ddto_rollout``, carry no basis
-and are queried cold, but for the min-cost basis that an emptiness
-check leaves behind.
+optimal basis, which is primal feasible for all of them.  The effective
+sets of ``ddto_rollout``, CS_k ∩ (CS_k + δ), start from CS_k's basis
+taken twice with the coupling rows basic (``ConstrainedZonotope.intersect``),
+which is dual feasible for their min-cost LPs and those of their slices,
+so a deferred rollout runs cold only its containment LPs.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ def _min_cost_at_state(cs: ConstrainedZonotope, x_i: np.ndarray, tol: float = SL
     """Left endpoint of the cost interval of CS sliced at the physical state,
     or None when the state is not contained.
 
-    The support query on the slice warm-starts from CS's canonical
-    min-cost basis when CS carries one."""
+    The support query on the slice starts from CS's canonical basis, or
+    from CS's own start when CS has not settled one."""
     sliced = cs.slice(np.arange(STATE_DIM - 1), x_i, tol=tol)
     try:
         return -sliced.support(min_cost_direction(STATE_DIM))
@@ -403,11 +404,10 @@ def instantaneous_reachable(
     cyclic position shifted to the target: x_hat_k + (-S) + x_hat_f.
 
     One LP, the slice's support LP in the min-cost direction, settles
-    whether the slice is empty.  It warm-starts from the tube set's
-    canonical basis, and its optimal basis is the slice's latent basis:
-    the projection and reflection keep the slice's latent LP, so every
-    support query on the result warm-starts from it
-    (``ConstrainedZonotope.latent_basis``).
+    whether the slice is empty.  It starts from the tube set's canonical
+    basis, and its optimal basis is the start of every support query on
+    the result: the projection and reflection keep the slice's latent LP,
+    for which that basis is primal feasible in every direction.
     """
     cyclic = np.asarray(cyclic_dims, dtype=int)
     comp = np.array([i for i in range(STATE_DIM) if i not in set(cyclic.tolist())])
@@ -464,11 +464,11 @@ def ddto_rollout(
     """
     x_i = np.asarray(x_i, dtype=float).ravel()
     delta = _embed_offset(backup_offset)
-    # made once per call, with no canonical basis: a call queries each at
-    # most a few times, too few to repay a solve for one.  A deferred
-    # step's emptiness check of its target runs the min-cost support LP,
-    # and so leaves the target's min-cost basis for the next step's slice
-    # of it.
+    # made once per call, and settled only where a deferred step checks
+    # its target's emptiness.  Each starts from CS_k's stored basis taken
+    # twice with the coupling rows basic, dual feasible for the min-cost
+    # LPs of its slices; the target's emptiness check leaves its own
+    # basis for the next step's slice of it.
     eff = [effective_tube_set(tube, k, delta) for k in range(1, tube.N + 1)]
     hq = _horizon_scan(eff, x_i, SLICE_TOL, "initial state is outside the effective tube")
     k_start, c_star = hq.k_star, hq.c_star

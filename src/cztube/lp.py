@@ -32,11 +32,14 @@ answers do not depend on the order of queries.  Each is built from the
 canonical bases of constrained zonotopes (``ConstrainedZonotope.basis``),
 and is of one of three kinds: a basis that is dual feasible for the
 program (an optimal basis of the same objective over related rows,
-e.g. a tube set's for its slices), one that is primal feasible (an
-optimal basis of the same rows and bounds under another objective,
-e.g. a slice's for the support LPs of its affine images), and, for the
-one-step LP under dynamics whose cost row reads other states, a basis
-that is neither, from which simplex goes further.  HiGHS picks the
+e.g. a tube set's for the min-cost LPs of its slices, or two sets'
+joined, with the coupling rows basic, for the min-cost LP of their
+intersection), one that is primal feasible (an optimal basis of the
+same rows and bounds under another objective, e.g. a slice's for the
+support LPs of its affine images), and a basis that is neither, from
+which simplex goes further: a slice's or an intersection's start in
+another direction, and the one-step LP's under dynamics whose cost row
+reads other states.  HiGHS picks the
 simplex variant of a warm run from the start it is given: primal
 simplex from a primal feasible basis, dual simplex otherwise.  Cold
 runs use dual simplex.

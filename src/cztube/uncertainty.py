@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
+import scipy.linalg
 import scipy.special
 
 from .czset import ConstrainedZonotope
@@ -215,24 +216,13 @@ def build_disturbance_schedule(
     R2_term = chi2_inv_cdf(p, dof_term)
     sets = []
     for k in range(1, N):
-        cov = _blkdiag(model.Sigma_u, model.sigma_x(k + 1, N), model.sigma_x(k, N))
+        blocks = (model.Sigma_u, model.sigma_x(k + 1, N), model.sigma_x(k, N))
+        cov = scipy.linalg.block_diag(*[m for m in blocks if m.size])
         sets.append(Ellipsoid(np.zeros(STATE_DIM), M @ cov @ M.T, R2_path))
     shape_N = model.E_w_x @ model.sigma_x(N, N) @ model.E_w_x.T
     sets.append(Ellipsoid(np.zeros(STATE_DIM), shape_N, R2_term))
     outer = [ellipsoid_outer_zonotope(e) for e in sets]
     return DisturbanceSchedule(sets, outer, p, control_noise_radius(model))
-
-
-def _blkdiag(*mats) -> np.ndarray:
-    mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in mats if np.asarray(m).size]
-    n = sum(m.shape[0] for m in mats)
-    out = np.zeros((n, n))
-    i = 0
-    for m in mats:
-        k = m.shape[0]
-        out[i : i + k, i : i + k] = m
-        i += k
-    return out
 
 
 # -- robustness tightenings ------------------------------------------------

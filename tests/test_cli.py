@@ -14,6 +14,7 @@ from cztube.cli import (
     EXIT_INFEASIBLE_QUERY,
     EXIT_OK,
     FLOAT_FMT,
+    ConfigError,
     main,
     parse_config,
 )
@@ -115,6 +116,24 @@ def test_config_parser_rejects_bad_lines(tmp_path):
     p.write_text("just words\n")
     with pytest.raises(Exception):
         parse_config(p)
+
+
+def test_key_given_twice_is_a_config_error(tmp_path, capsys):
+    # the last value of a repeated key would silently change the
+    # experiment; the error names the file, both lines and the key
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(DET_CFG + "scenario.n_points = 50\n")
+    first = DET_CFG.splitlines().index("scenario.n_points = 30") + 1
+    second = len(DET_CFG.splitlines()) + 1
+    with pytest.raises(ConfigError) as err:
+        parse_config(cfg)
+    for part in (str(cfg), str(first), str(second), "scenario.n_points"):
+        assert part in str(err.value)
+    code = main(["build-tube", "--config", str(cfg), "--max-n", "2",
+                 "--out", str(tmp_path / "t.cztb")])
+    assert code == EXIT_CONFIG
+    assert "scenario.n_points" in capsys.readouterr().err
+    assert not (tmp_path / "t.cztb").exists()
 
 
 def test_approx_cone_vertex_count(det_cfg, tmp_path):
@@ -258,6 +277,19 @@ def test_montecarlo_rejects_a_deterministic_tube(rob_cfg, det_tube, tmp_path, ca
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "robust" in err and "deterministic" in err
+    assert not (tmp_path / "mc.csv").exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_montecarlo_needs_a_trial_before_it_loads_the_tube(trials, rob_cfg, tmp_path,
+                                                          capsys, monkeypatch):
+    loads = []
+    monkeypatch.setattr("cztube.tube.deserialize_tube", lambda path: loads.append(path))
+    code = main(["montecarlo", "--config", str(rob_cfg), "--tube", str(tmp_path / "t.cztb"),
+                 "--trials", trials, "--out", str(tmp_path / "mc.csv")])
+    assert code == EXIT_CONFIG
+    assert "--trials" in capsys.readouterr().err
+    assert loads == []
     assert not (tmp_path / "mc.csv").exists()
 
 

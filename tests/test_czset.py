@@ -248,7 +248,7 @@ def test_banded_slice_rows_match_the_block_construction(dims):
 
 
 def _cold_copy(z):
-    """The same set with no slice origin and no memoized bases."""
+    """The same set with no recorded start and no memoized basis."""
     return CZ(z.G, z.c, z.A, z.b)
 
 
@@ -258,12 +258,8 @@ def _with_basis(z):
     return z
 
 
-@pytest.mark.parametrize("tol", [0.0, 1e-6])
-def test_slice_support_warm_matches_cold(monkeypatch, tol):
-    # slices of one parent at random points, some outside it, queried in
-    # the min-cost direction, which warm-starts, and in random ones, which
-    # run cold: each support equals a cold solve, and an empty slice
-    # still ends in EmptySetError through a checked ray
+def _spy_starts(monkeypatch):
+    """A list that records, per backend run, whether it started warm."""
     warm_calls = []
     backend = lp.linprog
 
@@ -272,6 +268,34 @@ def test_slice_support_warm_matches_cold(monkeypatch, tol):
         return backend(prob, method, basis)
 
     monkeypatch.setattr(lp, "linprog", spy)
+    return warm_calls
+
+
+def _assert_support_matches_cold(Z, eta, warm_calls, outcomes):
+    """Z's support in direction eta starts warm and equals a cold solve;
+    an empty Z ends in EmptySetError warm and cold alike."""
+    del warm_calls[:]
+    try:
+        warm = Z.support(eta)
+    except EmptySetError:
+        assert warm_calls[0]
+        with pytest.raises(EmptySetError):
+            _cold_copy(Z).support(eta)
+        outcomes.add("empty")
+        return
+    assert warm_calls[0]
+    cold = _cold_copy(Z).support(eta)
+    assert abs(warm - cold) <= 1e-9 * max(1.0, abs(cold))
+    outcomes.add("nonempty")
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-6])
+def test_slice_support_warm_matches_cold(monkeypatch, tol):
+    # slices of one parent at random points, some outside it, queried in
+    # the min-cost direction and in random ones, all started from the
+    # parent's basis: each support equals a cold solve, and an empty
+    # slice still ends in EmptySetError through a checked ray
+    warm_calls = _spy_starts(monkeypatch)
     rng = np.random.default_rng(32)
     outcomes = set()
     ref = min_cost_direction(4)
@@ -283,20 +307,71 @@ def test_slice_support_warm_matches_cold(monkeypatch, tol):
             pin = rng.uniform(lo[:2] - 0.3 * (hi[:2] - lo[:2]), hi[:2] + 0.3 * (hi[:2] - lo[:2]))
             sliced = z.slice([0, 1], pin, tol=tol)
             for eta in etas:
-                del warm_calls[:]
-                try:
-                    warm = sliced.support(eta)
-                    assert warm_calls[0] is (eta is ref)
-                except EmptySetError:
-                    assert warm_calls[0] is (eta is ref)
-                    with pytest.raises(EmptySetError):
-                        _cold_copy(sliced).support(eta)
-                    outcomes.add("empty")
-                    continue
-                cold = _cold_copy(sliced).support(eta)
-                assert abs(warm - cold) <= 1e-9 * max(1.0, abs(cold))
-                outcomes.add("nonempty")
+                _assert_support_matches_cold(sliced, eta, warm_calls, outcomes)
     assert outcomes == {"empty", "nonempty"}
+
+
+def test_intersection_and_translate_support_warm_matches_cold(monkeypatch):
+    # Z ∩ (Z + delta), as the decision-deferral rollout makes it, and
+    # Z ∩ W for another set W, at offsets some of which empty the
+    # intersection, with the translates themselves and min-cost slices of
+    # the intersections: every LP starts from the recorded start, and
+    # each support equals a cold solve in the min-cost direction and in
+    # random ones
+    warm_calls = _spy_starts(monkeypatch)
+    rng = np.random.default_rng(37)
+    outcomes = set()
+    ref = min_cost_direction(4)
+    for _ in range(3):
+        z = _with_basis(random_cz(rng, dim=4, n_g=10, n_e=3))
+        w = _with_basis(random_cz(rng, dim=4, n_g=8, n_e=2))
+        lo, hi = z.interval_hull()
+        for scale in (0.0, 0.3, 0.8, 1.5):
+            delta = scale * (hi - lo) * rng.choice([-1.0, 1.0], size=4)
+            moved = z.translate(delta)
+            for Z in (moved, z.intersect(moved), z.intersect(w.translate(delta))):
+                for eta in [ref] + [rng.normal(size=4) for _ in range(2)]:
+                    _assert_support_matches_cold(Z, eta, warm_calls, outcomes)
+            both = z.intersect(moved)
+            pin = (lo[:2] + hi[:2]) / 2 + delta[:2] / 2
+            _assert_support_matches_cold(both.slice([0, 1], pin, tol=1e-6), ref,
+                                         warm_calls, outcomes)
+    assert outcomes == {"empty", "nonempty"}
+
+
+def test_recorded_start_has_the_shape_of_the_sets_lp():
+    # every operation that records a start records a basis of the new
+    # set's LP: one status per latent and per row, one basic per row;
+    # the others record none
+    rng = np.random.default_rng(38)
+    z = _with_basis(random_cz(rng, dim=4, n_g=10, n_e=3))
+    w = _with_basis(random_cz(rng, dim=4, n_g=7, n_e=2))
+    both = z.intersect(w.translate(rng.normal(size=4)))
+    made = [
+        z.affine_map(rng.normal(size=(4, 4)), rng.normal(size=4)),
+        z.project([1, 3]),
+        z.translate(rng.normal(size=4)),
+        both,
+        both.slice([0, 2], [0.1, -0.2]),
+        both.slice([0, 2], [0.1, -0.2], tol=1e-6),
+        z.slice([3], [0.5], tol=1e-6).project([0, 1]),
+        both.intersect(z),
+    ]
+    for Z in made:
+        start = Z._start
+        assert start is not None
+        assert (len(start.cols), len(start.rows)) == (Z.n_generators, Z.n_constraints)
+        assert lp.LpBasis.from_codes(start.codes(), Z.n_generators) == start
+    box = CZ.from_box(-np.ones(4), np.ones(4))
+    box.is_empty()
+    for Z in (
+        z.minkowski_sum(w),
+        z.intersect(random_cz(rng, dim=4, n_g=5, n_e=1)),  # an operand with no start
+        z.intersect_halfspace(Halfspace(np.ones(4), z.support(np.ones(4)) - 0.1)),
+        box.pontryagin_difference([0.1 * np.ones(4)]),
+        box,
+    ):
+        assert Z._start is None
 
 
 def test_slice_support_is_independent_of_query_history():
@@ -320,24 +395,17 @@ def test_image_support_warm_matches_cold(monkeypatch):
     # projections and affine images of a slice warm-start every support
     # LP from the basis of the LP that settled the slice's emptiness;
     # each answer equals a cold solve
-    warm_calls = []
-    backend = lp.linprog
-
-    def spy(prob, method="highs", basis=None):
-        warm_calls.append(basis is not None)
-        return backend(prob, method, basis)
-
-    monkeypatch.setattr(lp, "linprog", spy)
+    warm_calls = _spy_starts(monkeypatch)
     rng = np.random.default_rng(34)
     for _ in range(4):
         z = _with_basis(random_cz(rng, dim=4, n_g=10, n_e=3))
         inside = (z.extreme_point(rng.normal(size=4)) + z.extreme_point(rng.normal(size=4))) / 2
         sliced = z.slice([2, 3], inside[[2, 3]], tol=1e-6)
         assert not sliced.is_empty()
-        assert sliced.latent_basis() is not None
+        assert sliced.basis() is not None
         M = rng.normal(size=(2, 2))
         image = sliced.project([0, 1]).affine_map(M, rng.normal(size=2))
-        assert image.latent_basis() is sliced.latent_basis()
+        assert image._start is sliced.basis()
         for _ in range(8):
             eta = rng.normal(size=2)
             del warm_calls[:]
@@ -349,22 +417,27 @@ def test_image_support_warm_matches_cold(monkeypatch):
             assert np.linalg.norm(point - cold.extreme_point(eta)) <= FEAS_TOL * scale
 
 
-def test_latent_basis_needs_an_unpruned_image_and_a_settling_lp():
+def test_image_start_needs_an_unpruned_image_and_a_settled_source(monkeypatch):
     rng = np.random.default_rng(35)
     z = random_cz(rng, dim=3, n_g=6, n_e=2)
-    assert z.project([0]).latent_basis() is None  # emptiness not settled yet
+    assert z.project([0])._start is None  # emptiness not settled yet
     assert not z.is_empty()
-    basis = z.latent_basis()
-    assert basis is not None and z.project([0, 1]).latent_basis() is basis
-    # the latent basis is the set's basis, left by the min-cost support LP
-    assert z.basis() is basis
+    basis = z.basis()
+    assert basis is not None and z.project([0, 1])._start is basis
+    # the basis is the one the min-cost support LP leaves; an image of an
+    # image, made before the first image settles, is handed the same
     assert basis == CZ(z.G, z.c, z.A, z.b)._settle_emptiness()[1]
+    assert z.project([0, 1]).affine_map(np.eye(2))._start is basis
+    # the set's own LPs start from its own start, not from its basis
+    warm_calls = _spy_starts(monkeypatch)
+    z.support(rng.normal(size=3))
+    assert z._start is None and warm_calls == [False]
     # an image that prunes latents has another latent LP
     free = CZ(np.eye(2), np.zeros(2))
     free.is_empty()
-    assert free.latent_basis() is not None
+    assert free.basis() is not None
     assert free.project([0]).n_generators == 1
-    assert free.project([0]).latent_basis() is None
+    assert free.project([0])._start is None
 
 
 def test_support_emptiness_check_raises_on_numerical_failure(monkeypatch):

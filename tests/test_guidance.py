@@ -449,15 +449,16 @@ def _footprints(tube, U, dyn, scn):
 
 def test_footprint_warm_matches_cold_solve(det_toy):
     # every support LP of the footprint starts from the slice's min-cost
-    # basis; supports and extreme points equal cold solves
+    # basis, recorded as the footprint's start; supports and extreme
+    # points equal cold solves
     scn, dyn, X, U, Xf, tube = det_toy
     rng = np.random.default_rng(41)
     footprints = _footprints(_fresh(tube), U, dyn, scn)
     assert len(footprints) >= 3
     for _, R in footprints:
-        assert R.latent_basis() is not None
+        assert R._start is not None
         cold = ConstrainedZonotope(R.G, R.c, R.A, R.b)
-        assert cold.latent_basis() is None
+        assert cold._start is None
         for _ in range(6):
             eta = rng.normal(size=2)
             scale = max(1.0, abs(cold.support(eta)))
@@ -540,6 +541,36 @@ def test_ddto_costs_at_least_nominal(det_toy):
     deferred = ddto_rollout(scn.initial_state(), tube, np.array([8.0, 0.0, 0.0]), U, dyn)
     assert deferred.total_cost >= nominal.total_cost - 1e-9
     assert tube.cs(tube.N).contains_point(deferred.terminal_state, tol=1e-6)
+
+
+@pytest.mark.parametrize("offset", [[8.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+def test_ddto_runs_cold_only_its_containment_lps(det_toy, monkeypatch, offset):
+    # the effective sets start from the tube sets' bases, so every LP of
+    # a deferred rollout, before and after a branch, starts warm but for
+    # the containment checks
+    scn, dyn, X, U, Xf, tube = det_toy
+    fresh = _fresh(tube)
+    runs, in_containment = [], []
+    backend = lp.linprog
+    residual = ConstrainedZonotope.containment_residual
+
+    def spy(prob, method="highs", basis=None):
+        runs.append((basis is not None, bool(in_containment)))
+        return backend(prob, method, basis)
+
+    def containment_spy(self, y):
+        in_containment.append(True)
+        try:
+            return residual(self, y)
+        finally:
+            in_containment.pop()
+
+    monkeypatch.setattr(lp, "linprog", spy)
+    monkeypatch.setattr(ConstrainedZonotope, "containment_residual", containment_spy)
+    log = ddto_rollout(scn.initial_state(), fresh, np.array(offset), U, dyn)
+    assert (log.branch_step is None) is (not any(offset))
+    assert sum(warm for warm, _ in runs) > tube.N
+    assert [contained for warm, contained in runs if not warm] == [True]
 
 
 def test_ddto_unreachable_backup_rejected(det_toy):

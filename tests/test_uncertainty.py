@@ -164,6 +164,40 @@ def test_schedule_probability_and_dofs():
     assert sched.N == 20
 
 
+def _reference_path_shape(model, dyn, k, N):
+    """M cov M' of a path step, with cov placed block by block."""
+    blocks = [m for m in (model.Sigma_u, model.sigma_x(k + 1, N), model.sigma_x(k, N)) if m.size]
+    n = sum(m.shape[0] for m in blocks)
+    cov, i = np.zeros((n, n)), 0
+    for m in blocks:
+        cov[i : i + m.shape[0], i : i + m.shape[0]] = m
+        i += m.shape[0]
+    M = build_effective_map(model, dyn)
+    return Ellipsoid(np.zeros(8), M @ cov @ M.T, 1.0).shape
+
+
+def test_schedule_shapes_with_and_without_execution_noise():
+    # the landing schedule's path ellipsoids are bitwise those of the
+    # block-by-block covariance; a model with no execution-noise channel
+    # builds its schedule from the navigation blocks alone
+    scn = LandingScenario(N=20, dt=15.0)
+    dyn = discretize(scn)
+    base = landing_uncertainty_model()
+    no_exec = UncertaintyModel(
+        E_w_u=np.zeros((4, 0)),
+        E_w_x=base.E_w_x,
+        Sigma_u=np.zeros((0, 0)),
+        sigma_x_fn=base.sigma_x_fn,
+        lam=base.lam,
+    )
+    for model, dof in ((base, 15), (no_exec, 12)):
+        sched = build_disturbance_schedule(model, dyn, 20)
+        assert abs(sched.sets[0].radius_sq - chi2_inv_cdf(sched.p, dof)) <= 1e-9
+        for k, e in enumerate(sched.sets[:-1], start=1):
+            assert np.array_equal(e.shape, _reference_path_shape(model, dyn, k, 20))
+    assert sched.R_u == 0.0
+
+
 def test_schedule_position_sigma_profile():
     model = landing_uncertainty_model()
     # 3-sigma position error 1.5(N-k+1) m: at k=1, N=20 the std is 10 m
