@@ -42,7 +42,8 @@ class ConfigError(Exception):
 
 def parse_config(path) -> dict:
     """Read `section.key = value` lines; values become floats, float lists,
-    or strings.  A key given twice is a ConfigError naming both lines."""
+    or strings.  A key given twice is a ConfigError naming both lines, and
+    so is a number that is not finite (nan, inf)."""
     cfg = {}
     line_of = {}
     try:
@@ -61,10 +62,13 @@ def parse_config(path) -> dict:
                                       f"(first on line {line_of[key]})")
                 line_of[key] = ln
                 try:
-                    cfg[key] = _parse_value(val)
+                    value = _parse_value(val)
                 except ValueError:
                     raise ConfigError(f"{path}:{ln}: {key} must be a list of numbers, "
                                       f"not {val!r}") from None
+                if not isinstance(value, str) and not np.all(np.isfinite(value)):
+                    raise ConfigError(f"{path}:{ln}: {key} must be finite, not {val!r}")
+                cfg[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     return cfg
@@ -106,7 +110,7 @@ CONFIG_KEYS = frozenset(
     [f"scenario.{key}" for key in _SCENARIO_SCALARS + _SCENARIO_ANGLES
      + _SCENARIO_VECTORS + _SCENARIO_INTEGERS]
     + ["uncertainty.sigma3_u", "uncertainty.sigma3_r_rate", "uncertainty.sigma3_v_rate",
-       "uncertainty.lambda", "tube.pre_steps", "cone.t_max", "cone.dim", "cone.k"]
+       "uncertainty.lambda", "cone.t_max", "cone.dim", "cone.k"]
 )
 
 
@@ -210,8 +214,7 @@ def cmd_build_tube(args) -> int:
         if scn.N is None:
             raise ConfigError("robust build requires scenario.N")
         _, schedule, U_rob, Xf_full, dyn_wc = tube_mod.robust_parts(
-            scn, uncertainty_from_config(cfg), scalar(cfg, "tube.pre_steps", int, 2)
-        )
+            scn, uncertainty_from_config(cfg))
         X = landing.build_state_set(scn)
         result = tube_mod.robust_recursion(
             dyn_wc, X, U_rob, Xf_full, schedule, scn.N, scenario_hash=digest,
@@ -342,9 +345,7 @@ def cmd_montecarlo(args) -> int:
     loaded = _load_tube(args.tube, "robust")
     # the schedule spans the loaded tube's horizon
     scn = dataclasses.replace(scn, N=loaded.N)
-    dyn, schedule, U_rob, Xf_full, _ = tube_mod.robust_parts(
-        scn, model, scalar(cfg, "tube.pre_steps", int, 2)
-    )
+    dyn, schedule, U_rob, Xf_full, _ = tube_mod.robust_parts(scn, model)
     summary = guidance.monte_carlo(
         scn, loaded, model, schedule, U_rob, Xf_full, dyn, args.trials, args.seed
     )

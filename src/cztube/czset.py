@@ -37,6 +37,7 @@ from .lp import (
     LpBasis,
     LpError,
     LpStatus,
+    canonical_csr,
     solve_lp,
 )
 
@@ -63,21 +64,6 @@ def min_cost_direction(dim: int) -> np.ndarray:
     eta = np.zeros(dim)
     eta[-1] = -1.0
     return eta
-
-
-def _canonical_csr(M) -> sp.csr_matrix:
-    """M as a float CSR matrix in canonical form (duplicates summed, no
-    stored zeros, sorted indices).  A sparse M in that form already is
-    used as it is; any other is copied first, so M never changes."""
-    if not sp.issparse(M):
-        return sp.csr_matrix(np.atleast_2d(np.asarray(M, dtype=float)))
-    A = M.tocsr()
-    if A.dtype == np.float64 and A.has_canonical_format and A.data.all():
-        return A
-    A = sp.csr_matrix(A, dtype=float, copy=True)
-    A.sum_duplicates()
-    A.eliminate_zeros()
-    return A
 
 
 @dataclass
@@ -128,7 +114,7 @@ class ConstrainedZonotope:
             A = sp.csr_matrix((0, n_g))
             b = np.zeros(0)
         else:
-            A = _canonical_csr(A)
+            A = canonical_csr(A)
             b = np.asarray(b, dtype=float).ravel()
         if A.shape[1] != n_g:
             raise ValueError("latent constraint column count does not match generators")

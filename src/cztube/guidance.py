@@ -587,8 +587,10 @@ def monte_carlo(
                 command, _, c_k = one_step_ocp(estimate, eroded[k], control_set_robust, dyn)
             except InfeasibleError:
                 return TrialResult(t, master_seed, False, None, None, failure_step=k)
-            w_u = rng.multivariate_normal(np.zeros(model.n_u), model.Sigma_u)
-            applied = command + model.E_w_u @ w_u
+            applied = command
+            if model.n_u:  # NumPy cannot sample a 0-dim normal
+                w_u = rng.multivariate_normal(np.zeros(model.n_u), model.Sigma_u)
+                applied = command + model.E_w_u @ w_u
             y[-1] = c_k
             y = dyn.step(y, applied)
         ok = terminal_set_fulldim.contains_point(y, tol=START_TOL)

@@ -1,20 +1,22 @@
 """Linear-program descriptor and solver backend.
 
 Every set query (support, containment, emptiness) and every one-step
-control solve in this package reduces to a call into this module.  The
-solve runs on the HiGHS library bundled with SciPy
-(``scipy.optimize._highspy``), which is given the constraint rows as
-they are stored here, row-wise (CSR), and ``solve_lp`` trusts no verdict
-that it has not checked against the program's own data:
+control solve in this package reduces to a call into this module.  A
+``LinearProgram`` holds its rows in one form, built once when it is
+made: row_lo <= A x <= row_hi with A = [H; E] in canonical CSR form
+(``canonical_csr``), and a residual scale per row.  The solve runs on
+the HiGHS library bundled with SciPy (``scipy.optimize._highspy``),
+which is given exactly these rows, row-wise, and ``solve_lp`` trusts no
+verdict that it has not checked against the same rows:
 
 * OPTIMAL: the returned point meets every row within the row-scaled
   ``FEAS_TOL`` and every column bound.
 * INFEASIBLE: a Farkas ray y, checked here with numpy, proves that no
   point of the column box meets every row within the same tolerance
-  (see ``farkas_certifies``).  Contradictory column bounds, rows with
-  no variables and a row whose activity range over the column box
-  misses its bounds (``single_row_certifies``) are certified by
-  inspection.
+  (see ``farkas_certifies``).  Contradictory column bounds and a row
+  whose activity range over the column box misses its bounds
+  (``single_row_certifies``, which also settles a program with no
+  columns) are certified by inspection.
 * Anything else, including an infeasibility verdict whose ray is
   missing or fails the check, is NUMERICAL_FAILURE after one retry
   with the other HiGHS algorithm.  Callers that cannot proceed raise
@@ -100,13 +102,19 @@ class LpError(Exception):
     """Raised by callers that cannot proceed past a solver failure."""
 
 
-def _as_matrix(M, n_cols):
-    if M is None:
-        return sp.csr_matrix((0, n_cols))
-    if sp.issparse(M):
-        return M.tocsr()
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    return sp.csr_matrix(M)
+def canonical_csr(M) -> sp.csr_matrix:
+    """M as a float CSR matrix in canonical form (duplicates summed, no
+    stored zeros, sorted indices).  A sparse M in that form already is
+    used as it is; any other is copied first, so M never changes."""
+    if not sp.issparse(M):
+        return sp.csr_matrix(np.atleast_2d(np.asarray(M, dtype=float)))
+    A = M.tocsr()
+    if A.dtype == np.float64 and A.has_canonical_format and A.data.all():
+        return A
+    A = sp.csr_matrix(A, dtype=float, copy=True)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    return A
 
 
 @dataclass
@@ -114,7 +122,12 @@ class LinearProgram:
     """minimize c_obj'x  s.t.  E x = f,  H x <= g,  lb <= x <= ub.
 
     E and H may be dense arrays or scipy sparse matrices; bounds may use
-    +-inf.  Zero-row blocks are allowed.
+    +-inf.  Zero-row blocks are allowed.  The constructor puts E and H
+    in canonical CSR form (``canonical_csr``) and stacks the rows once
+    as the solver and every verdict check read them:
+    row_lo <= A x <= row_hi with A = [H; E], and ``row_scale``, the
+    residual scale of each row, max(1, inf-norm of the row and of its
+    right-hand side if finite).
     """
 
     c_obj: np.ndarray
@@ -124,12 +137,16 @@ class LinearProgram:
     g: np.ndarray = None
     lb: np.ndarray = None
     ub: np.ndarray = None
+    A: sp.csr_matrix = field(init=False, repr=False)
+    row_lo: np.ndarray = field(init=False, repr=False)
+    row_hi: np.ndarray = field(init=False, repr=False)
+    row_scale: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.c_obj = np.asarray(self.c_obj, dtype=float).ravel()
         n = self.c_obj.size
-        self.E = _as_matrix(self.E, n)
-        self.H = _as_matrix(self.H, n)
+        self.E = sp.csr_matrix((0, n)) if self.E is None else canonical_csr(self.E)
+        self.H = sp.csr_matrix((0, n)) if self.H is None else canonical_csr(self.H)
         self.f = np.zeros(0) if self.f is None else np.asarray(self.f, dtype=float).ravel()
         self.g = np.zeros(0) if self.g is None else np.asarray(self.g, dtype=float).ravel()
         self.lb = np.full(n, -np.inf) if self.lb is None else np.asarray(self.lb, dtype=float).ravel()
@@ -140,25 +157,29 @@ class LinearProgram:
             raise ValueError("constraint row count does not match rhs length")
         if self.lb.size != n or self.ub.size != n:
             raise ValueError("bound length does not match objective length")
+        # stacking CSR blocks only concatenates their arrays, and keeps
+        # them canonical
+        self.A = sp.vstack([self.H, self.E], format="csr")
+        self.row_lo = np.concatenate([np.full(self.g.size, -np.inf), self.f])
+        self.row_hi = np.concatenate([self.g, self.f])
+        row_max = np.zeros(self.A.shape[0])
+        filled = np.diff(self.A.indptr) > 0
+        if filled.any():
+            row_max[filled] = np.maximum.reduceat(np.abs(self.A.data), self.A.indptr[:-1][filled])
+        rhs = np.abs(self.row_hi)
+        rhs[np.isinf(rhs)] = 0.0  # an infinite bound scales no residual
+        self.row_scale = np.maximum(1.0, np.maximum(row_max, rhs))
 
     @property
     def n_vars(self) -> int:
         return self.c_obj.size
 
-    def rows(self):
-        """Rows as the solver sees them: row_lo <= A x <= row_hi with
-        A = [H; E] in CSR form, which ``linprog`` passes to HiGHS
-        row-wise.  Stacking CSR blocks only concatenates their arrays."""
-        A = sp.vstack([self.H, self.E], format="csr")
-        row_lo = np.concatenate([np.full(self.g.size, -np.inf), self.f])
-        row_hi = np.concatenate([self.g, self.f])
-        return A, row_lo, row_hi
-
 
 @dataclass(frozen=True)
 class LpBasis:
     """A simplex basis of a LinearProgram: one HiGHS basis status per
-    column and one per row of ``LinearProgram.rows()``.
+    column and one per row of ``LinearProgram.A``, the rows of H first,
+    then those of E.
 
     A basis has as many ``BASIC`` entries as the program has rows; every
     other entry is nonbasic at a bound.  ``NONBASIC`` (at the lower
@@ -214,44 +235,21 @@ def _shared_statuses(statuses) -> tuple:
     return tuple(_STATUSES[int(s)] for s in statuses)
 
 
-def _row_scale(M, rhs):
-    """Residual scale per row of the CSR matrix M: max(1, inf-norm of the
-    row and rhs).  Read from M's arrays (duplicates summed on a copy
-    first), so M is never changed; an empty row's norm is 0."""
-    if M.shape[0] == 0:
-        return np.zeros(0)
-    if not M.has_canonical_format:
-        M = M.copy()
-        M.sum_duplicates()
-    row_max = np.zeros(M.shape[0])
-    filled = np.diff(M.indptr) > 0
-    if filled.any():
-        row_max[filled] = np.maximum.reduceat(np.abs(M.data[:M.nnz]), M.indptr[:-1][filled])
-    return np.maximum(1.0, np.maximum(row_max, np.abs(rhs)))
-
-
 def _feasibility_residual(prob: LinearProgram, x: np.ndarray) -> float:
-    res = 0.0
-    if prob.E.shape[0]:
-        r = np.abs(prob.E @ x - prob.f) / _row_scale(prob.E, prob.f)
-        res = max(res, float(r.max()))
-    if prob.H.shape[0]:
-        r = (prob.H @ x - prob.g) / _row_scale(prob.H, prob.g)
-        res = max(res, float(r.max()))
-    lo = prob.lb - x
-    hi = x - prob.ub
-    scale = np.maximum(1.0, np.abs(x))
-    res = max(res, float(np.max(lo / scale, initial=0.0)))
-    res = max(res, float(np.max(hi / scale, initial=0.0)))
-    return res
+    """Largest violation of a row, over its row scale, or of a column
+    bound, over max(1, |x_j|); NaN if x has one."""
+    Ax = prob.A @ x
+    rows = np.maximum(prob.row_lo - Ax, Ax - prob.row_hi) / prob.row_scale
+    cols = np.maximum(prob.lb - x, x - prob.ub) / np.maximum(1.0, np.abs(x))
+    return float(np.maximum(np.max(rows, initial=0.0), np.max(cols, initial=0.0)))
 
 
-def farkas_certifies(prob: LinearProgram, ray, rows=None) -> bool:
+def farkas_certifies(prob: LinearProgram, ray) -> bool:
     """True iff ``ray`` (or its negation) proves ``prob`` infeasible.
 
-    With the rows written as row_lo <= A x <= row_hi (``prob.rows()``), a
-    row vector y proves that no x in [lb, ub] meets every row within
-    FEAS_TOL * row_scale when
+    Over the program's rows row_lo <= A x <= row_hi, the ones HiGHS is
+    given, a row vector y proves that no x in [lb, ub] meets every row
+    within FEAS_TOL * row_scale when
 
         min over the row box of y'r  -  max over [lb, ub] of (A'y)'x
             >  FEAS_TOL * sum_i |y_i| row_scale_i,
@@ -265,10 +263,8 @@ def farkas_certifies(prob: LinearProgram, ray, rows=None) -> bool:
     error and fails on anything larger.  Ray entries below RAY_TOL of
     the largest are dropped first; the check is then exact for the
     remaining vector.
-
-    ``rows`` is ``prob.rows()`` when the caller has built it already.
     """
-    A, row_lo, row_hi = prob.rows() if rows is None else rows
+    A, row_lo, row_hi = prob.A, prob.row_lo, prob.row_hi
     y = np.asarray(ray, dtype=float).ravel()
     if y.size != A.shape[0] or not np.all(np.isfinite(y)):
         return False
@@ -277,7 +273,7 @@ def farkas_certifies(prob: LinearProgram, ray, rows=None) -> bool:
         return False
     y = y / peak
     y[np.abs(y) <= RAY_TOL] = 0.0
-    slack = FEAS_TOL * float(np.abs(y) @ _row_scale(A, row_hi))
+    slack = FEAS_TOL * float(np.abs(y) @ prob.row_scale)
     z_y = A.T @ y
     rounding = None
     for cand, z in ((y, z_y), (-y, -z_y)):
@@ -297,7 +293,7 @@ def farkas_certifies(prob: LinearProgram, ray, rows=None) -> bool:
     return False
 
 
-def single_row_certifies(prob: LinearProgram, rows=None) -> bool:
+def single_row_certifies(prob: LinearProgram) -> bool:
     """True iff some row alone proves ``prob`` infeasible.
 
     This is ``farkas_certifies`` for every unit ray y = +-e_i at once: the
@@ -305,14 +301,11 @@ def single_row_certifies(prob: LinearProgram, rows=None) -> bool:
     row_hi_i] by more than FEAS_TOL * row_scale_i.  It covers what the
     solver rejects before it runs simplex and so without a ray, such as a
     row left empty once HiGHS drops its entries below
-    SMALL_MATRIX_VALUE.  ``rows`` is as in ``farkas_certifies``.
+    SMALL_MATRIX_VALUE, and a program with no columns, which HiGHS
+    reports as empty without a verdict.  A stores no zeros, so no term
+    is zero times an infinite bound.
     """
-    A, row_lo, row_hi = prob.rows() if rows is None else rows
-    if not A.data.all():
-        # a stored zero times an infinite bound is nan; drop them on a
-        # copy, since A may be the caller's
-        A = A.copy()
-        A.eliminate_zeros()
+    A = prob.A
     a, cols = A.data, A.indices
 
     def activity(upper, lower):
@@ -321,22 +314,20 @@ def single_row_certifies(prob: LinearProgram, rows=None) -> bool:
 
     act_hi = activity(prob.ub, prob.lb)
     act_lo = activity(prob.lb, prob.ub)
-    slack = FEAS_TOL * _row_scale(A, row_hi)
-    return bool(np.any(act_hi < row_lo - slack) or np.any(act_lo > row_hi + slack))
+    slack = FEAS_TOL * prob.row_scale
+    return bool(np.any(act_hi < prob.row_lo - slack) or np.any(act_lo > prob.row_hi + slack))
 
 
 @dataclass
 class HighsRun:
     """What one HiGHS run reports: model status, iterations, and the
-    primal solution or the dual ray when the run produced one; ``rows``
-    is the ``prob.rows()`` the run was given."""
+    primal solution or the dual ray when the run produced one."""
 
     status: highs.HighsModelStatus
     nit: int
     x: Optional[np.ndarray] = None
     ray: Optional[np.ndarray] = None
     basis: Optional[object] = None
-    rows: Optional[tuple] = field(default=None, repr=False)
 
 
 def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis] = None) -> HighsRun:
@@ -354,8 +345,7 @@ def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis]
     reads duals.  The name is the one the benchmark's tracer
     (bench/tracing.py) times as the backend call.
     """
-    rows = prob.rows()
-    A, row_lo, row_hi = rows
+    A = prob.A
     simplex = method != "highs-ipm"
     warm = basis is not None and simplex
     options = {**_COMMON_OPTIONS, **_METHODS[method], **(_WARM_OPTIONS if warm else {})}
@@ -368,7 +358,7 @@ def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis]
     # The rows go in row-wise and HiGHS makes its column-wise copy in C++.
     passed = solver.passModel(
         prob.n_vars, A.shape[0], A.nnz, _ROWWISE, _MINIMIZE, 0.0,
-        prob.c_obj, prob.lb, prob.ub, row_lo, row_hi,
+        prob.c_obj, prob.lb, prob.ub, prob.row_lo, prob.row_hi,
         A.indptr.astype(np.int32, copy=False), A.indices.astype(np.int32, copy=False), A.data,
         np.zeros(prob.n_vars, dtype=np.int32),  # every column continuous
     )
@@ -387,8 +377,7 @@ def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis]
     solver.run()
     status = solver.getModelStatus()
     info = solver.getInfo()
-    run = HighsRun(status, int(info.simplex_iteration_count or info.ipm_iteration_count),
-                   rows=rows)
+    run = HighsRun(status, int(info.simplex_iteration_count or info.ipm_iteration_count))
     if status == highs.HighsModelStatus.kOptimal:
         sol = solver.getSolution()
         run.x = np.array(sol.col_value, dtype=float)
@@ -423,9 +412,9 @@ def solve_lp(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis
     * OPTIMAL only after the returned point has been re-checked against
       the row-scaled feasibility tolerance FEAS_TOL.
     * INFEASIBLE only with a Farkas ray that ``farkas_certifies`` has
-      checked against the program's own data, or by inspection:
-      contradictory column bounds, variable-free rows, or a single row
-      that ``single_row_certifies``.  The interior-point path yields no
+      checked against the program's own rows, or by inspection:
+      contradictory column bounds, or a single row that
+      ``single_row_certifies``.  The interior-point path yields no
       ray, so its infeasibility verdict is re-solved once with
       presolve-free simplex to obtain one.
     * Anything else is NUMERICAL_FAILURE, reached only after one
@@ -451,23 +440,21 @@ def solve_lp(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis
 
 
 def _solve_once(prob: LinearProgram, method: str, basis: Optional[LpBasis] = None) -> LpSolution:
-    n = prob.n_vars
-    if n == 0:
-        feasible = (prob.f.size == 0 or np.all(np.abs(prob.f) <= FEAS_TOL)) and (
-            prob.g.size == 0 or np.all(prob.g >= -FEAS_TOL)
-        )
-        if feasible:
-            return LpSolution(LpStatus.OPTIMAL, np.zeros(0), 0.0)
-        return LpSolution(LpStatus.INFEASIBLE)
     if np.any(prob.lb > prob.ub):
         return LpSolution(LpStatus.INFEASIBLE)
+    if prob.n_vars == 0:
+        # HiGHS reports a program with no columns as empty, without a
+        # verdict; each of its rows alone settles it
+        if single_row_certifies(prob):
+            return LpSolution(LpStatus.INFEASIBLE)
+        return LpSolution(LpStatus.OPTIMAL, np.zeros(0), 0.0)
 
     run = linprog(prob, method, basis)
     if run.status in _INFEASIBLE and method == "highs-ipm":
         run = linprog(prob, "highs")
     if run.status in _INFEASIBLE:
-        certified = run.ray is not None and farkas_certifies(prob, run.ray, run.rows)
-        if certified or single_row_certifies(prob, run.rows):
+        certified = run.ray is not None and farkas_certifies(prob, run.ray)
+        if certified or single_row_certifies(prob):
             return LpSolution(LpStatus.INFEASIBLE)
         return LpSolution(LpStatus.NUMERICAL_FAILURE)
     if run.status == highs.HighsModelStatus.kUnbounded:
@@ -476,7 +463,7 @@ def _solve_once(prob: LinearProgram, method: str, basis: Optional[LpBasis] = Non
         return LpSolution(LpStatus.NUMERICAL_FAILURE)
 
     x = run.x
-    if _feasibility_residual(prob, x) > FEAS_TOL:
+    if not _feasibility_residual(prob, x) <= FEAS_TOL:
         return LpSolution(LpStatus.NUMERICAL_FAILURE)
     return LpSolution(LpStatus.OPTIMAL, x, float(prob.c_obj @ x), run.basis)
 

@@ -69,6 +69,8 @@ from .uncertainty import (
 TUBE_MAGIC = b"CZTB"
 TUBE_VERSION = 3  # the only version read; older files ask for a rebuild
 _KINDS = ("deterministic", "robust")
+# backward steps, at dt/PRE_STEPS, that make the terminal set full-dimensional
+PRE_STEPS = 2
 
 
 class RobustInfeasibleError(Exception):
@@ -204,22 +206,19 @@ def robust_recursion(
 def make_full_dim_terminal(
     scn: LandingScenario,
     k_points: Optional[int] = None,
-    pre_steps: int = 2,
 ) -> ConstrainedZonotope:
     """Full-dimensional stand-in for the flat terminal conditions.
 
-    Runs pre_steps deterministic backward steps at dt/pre_steps from the
+    Runs PRE_STEPS deterministic backward steps at dt/PRE_STEPS from the
     flat terminal set with untightened dynamics and controls, so every
     point of the result can still reach the original terminal conditions
     within one sampling interval.
     """
-    if pre_steps < 1:
-        raise ValueError("need at least one pre-recursion step")
-    dyn = discretize(scn, scn.dt / pre_steps)
+    dyn = discretize(scn, scn.dt / PRE_STEPS)
     state_set = build_state_set(scn)
     control_set = build_control_set(scn, k_points)
     cs = build_terminal_set(scn)
-    for _ in range(pre_steps):
+    for _ in range(PRE_STEPS):
         cs = backward_step(dyn, state_set, control_set, cs)
     if not cs.is_full_dimensional():
         raise NotFullDimensionalError(
@@ -228,7 +227,7 @@ def make_full_dim_terminal(
     return cs
 
 
-def robust_parts(scn: LandingScenario, model: UncertaintyModel, pre_steps: int = 2):
+def robust_parts(scn: LandingScenario, model: UncertaintyModel):
     """(dynamics, schedule over scn.N steps, robust control set,
     full-dimensional terminal set, worst-case dynamics): what
     ``robust_recursion`` and ``guidance.monte_carlo`` take besides the
@@ -236,7 +235,7 @@ def robust_parts(scn: LandingScenario, model: UncertaintyModel, pre_steps: int =
     dyn = discretize(scn)
     schedule = build_disturbance_schedule(model, dyn, scn.N)
     control_set = robustify_control_set(scn, schedule.R_u)
-    terminal = make_full_dim_terminal(scn, pre_steps=pre_steps)
+    terminal = make_full_dim_terminal(scn)
     dyn_worst_case = worst_case_depletion_dynamics(dyn, scn.alpha, schedule.R_u)
     return dyn, schedule, control_set, terminal, dyn_worst_case
 

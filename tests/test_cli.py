@@ -4,6 +4,7 @@ import contextlib
 import io
 import re
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,8 +18,13 @@ from cztube.cli import (
     ConfigError,
     main,
     parse_config,
+    read_config,
+    scenario_from_config,
+    uncertainty_from_config,
 )
 from cztube.tube import deserialize_tube
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 DET_CFG = """
 # short-hop deterministic landing, coarse thrust lattice
@@ -162,10 +168,12 @@ def test_approx_cone_missing_key(tmp_path, capsys):
         ("scenario.g = 1, 2", ["build-tube", "--max-n", "2"]),
         ("scenario.theta_max_deg = steep", ["build-tube", "--max-n", "2"]),
         ("scenario.r_i = 0, abc, 120", ["build-tube", "--max-n", "2"]),
+        ("scenario.r_i = 0, nan, 120", ["build-tube", "--max-n", "2"]),
+        ("scenario.dt = nan", ["build-tube", "--max-n", "2"]),
+        ("scenario.v_max = inf", ["build-tube", "--max-n", "2"]),
         ("scenario.n_points = 30.5", ["build-tube", "--max-n", "2"]),
         ("scenario.N = 4.5", ["build-tube", "--robust"]),
         ("uncertainty.lambda = 0.9, 0.95", ["build-tube", "--robust"]),
-        ("tube.pre_steps = 1, 2", ["build-tube", "--robust"]),
         ("cone.t_max = 4, 4", ["approx-cone"]),
         ("cone.dim = 4, 4", ["approx-cone"]),
         ("cone.k = 30.5", ["approx-cone"]),
@@ -174,14 +182,40 @@ def test_approx_cone_missing_key(tmp_path, capsys):
     ids=lambda v: v if isinstance(v, str) else "",
 )
 def test_scalar_key_takes_one_number(line, argv, tmp_path, capsys):
-    # a list, a word, a fraction where an integer belongs, or a misspelt
-    # key is a config error that names the key, not a crash, a truncated
-    # value or a silent default
+    # a list, a word, a number that is not finite, a fraction where an
+    # integer belongs, or a misspelt key is a config error that names the
+    # key, not a crash, a truncated value or a silent default.  The line
+    # replaces the base config's own line for the key, so the error is
+    # not the one for a key given twice
+    key = line.split(" = ")[0]
+    base = (ROB_CFG if "--robust" in argv else DET_CFG).splitlines()
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text((ROB_CFG if "--robust" in argv else DET_CFG) + line + "\n")
+    cfg.write_text("\n".join([ln for ln in base if not ln.startswith(key + " ")] + [line]) + "\n")
     code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
-    assert line.split(" = ")[0] in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err and "twice" not in err
+
+
+@pytest.mark.parametrize("command", [["build-tube", "--robust"],
+                                     ["montecarlo", "--trials", "1", "--tube", "t.cztb"]],
+                         ids=lambda argv: argv[0])
+def test_pre_steps_is_an_unknown_key(command, tmp_path, capsys):
+    # the terminal set's pre-recursion steps are fixed (tube.PRE_STEPS),
+    # so the commands that build that set cannot be given different ones
+    cfg = tmp_path / "rob.cfg"
+    cfg.write_text(ROB_CFG + "tube.pre_steps = 2\n")
+    code = main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "unknown config key 'tube.pre_steps'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_configs_load(path):
+    cfg = read_config(path)
+    scenario_from_config(cfg)
+    if path.name == "robust.cfg":
+        assert uncertainty_from_config(cfg).lam == cfg["uncertainty.lambda"]
 
 
 def test_build_tube_robust_requires_uncertainty(det_cfg, tmp_path, capsys):

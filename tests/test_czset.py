@@ -479,16 +479,17 @@ def test_queries_leave_the_constraint_matrix_untouched():
     _, _, c_k = one_step_ocp(np.zeros(8), Z, CZ.from_box(-np.ones(4), np.ones(4)), dyn)
     assert abs(c_k + 1.0) <= 1e-9
     # a slice outside the set: its support query ends in a certified
-    # INFEASIBLE, and both certificate checks read the LP's CSR rows
+    # INFEASIBLE, and both certificate checks read the LP's CSR rows,
+    # which hold the set's own matrix
     outside = Z.slice([0], [3.0], tol=1e-6)
     sliced = _arrays(outside.A)
     with pytest.raises(EmptySetError):
         outside.support(min_cost_direction(8))
     prob = outside._support_lp(min_cost_direction(8))
+    assert prob.E is outside.A and prob.A.format == "csr"
     run = lp.linprog(prob)
-    assert run.rows[0].format == "csr"
-    assert lp.farkas_certifies(prob, run.ray, run.rows)
-    assert lp.single_row_certifies(prob, run.rows)
+    assert lp.farkas_certifies(prob, run.ray)
+    assert lp.single_row_certifies(prob)
     assert _arrays(outside.A) == sliced
     assert _arrays(A) == given
     assert _arrays(Z.A) == held
@@ -664,8 +665,8 @@ def test_inconsistent_duplicate_row_is_empty_without_normalization(monkeypatch):
     verdicts = []
     farkas = lp.farkas_certifies
 
-    def spy(prob, ray, rows=None):
-        verdicts.append(farkas(prob, ray, rows))
+    def spy(prob, ray):
+        verdicts.append(farkas(prob, ray))
         return verdicts[-1]
 
     monkeypatch.setattr(lp, "farkas_certifies", spy)

@@ -35,7 +35,7 @@ from cztube.tube import (
     robust_parts,
     robust_recursion,
 )
-from cztube.uncertainty import landing_uncertainty_model
+from cztube.uncertainty import UncertaintyModel, landing_uncertainty_model
 
 
 def box8(half, center=None):
@@ -491,8 +491,8 @@ def test_footprint_outside_the_set_is_a_certified_empty_slice(det_toy, monkeypat
     verdicts = []
     farkas = lp.farkas_certifies
 
-    def spy(prob, ray, rows=None):
-        verdicts.append(farkas(prob, ray, rows))
+    def spy(prob, ray):
+        verdicts.append(farkas(prob, ray))
         return verdicts[-1]
 
     monkeypatch.setattr(lp, "farkas_certifies", spy)
@@ -654,6 +654,19 @@ def test_monte_carlo_without_targets_erodes_like_the_build(robust_toy):
         assert ra.success == rb.success
         assert np.array_equal(ra.terminal_state, rb.terminal_state)
         assert ra.fuel_kg == rb.fuel_kg
+
+
+def test_monte_carlo_runs_without_an_execution_noise_channel(robust_toy):
+    # a model with no execution-noise channel draws no w_u (NumPy cannot
+    # sample a 0-dim normal); the toy's tube, built for more noise, serves
+    scn, dyn, model, sched, U_rob, Tf, tube, sink = robust_toy
+    no_exec = UncertaintyModel(E_w_u=np.zeros((4, 0)), E_w_x=model.E_w_x,
+                               Sigma_u=np.zeros((0, 0)), sigma_x_fn=model.sigma_x_fn,
+                               lam=model.lam)
+    mc = monte_carlo(scn, tube, no_exec, sched, U_rob, Tf, dyn, trials=2, master_seed=11,
+                     eroded=sink)
+    assert [r.trial for r in mc.results] == [0, 1]
+    assert mc.successes == 2
 
 
 def test_monte_carlo_trial_results_carry_metadata(robust_toy):

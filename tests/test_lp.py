@@ -15,7 +15,6 @@ from cztube.lp import (
     LpBasis,
     LpStatus,
     _feasibility_residual,
-    _row_scale,
     farkas_certifies,
     single_row_certifies,
     solve_lp,
@@ -130,8 +129,8 @@ def certificate_spy(monkeypatch):
     """Record every verdict of farkas_certifies made inside solve_lp."""
     verdicts = []
 
-    def spy(prob, ray, rows=None):
-        ok = farkas_certifies(prob, ray, rows)
+    def spy(prob, ray):
+        ok = farkas_certifies(prob, ray)
         verdicts.append(ok)
         return ok
 
@@ -183,6 +182,24 @@ def test_uncertified_infeasible_verdict_is_never_reported(monkeypatch, ray):
         assert solve_lp(zero).status == LpStatus.NUMERICAL_FAILURE
 
 
+def test_infinite_right_hand_sides_keep_both_verdicts_checkable(monkeypatch):
+    # a row with an infinite right-hand side scales no residual: the
+    # recheck passes a feasible point, and a ray that leaves the row out
+    # still certifies (its slack used to be 0 * inf = nan)
+    prob = LinearProgram(c_obj=[1.0], H=[[1.0], [-1.0]], g=[np.inf, 0.0], lb=[-5.0], ub=[5.0])
+    assert prob.row_scale.tolist() == [1.0, 1.0]
+    sol = solve_lp(prob)
+    assert sol.status == LpStatus.OPTIMAL and sol.x_opt.tolist() == [0.0]
+    assert _feasibility_residual(prob, sol.x_opt) == 0.0
+    empty = LinearProgram(c_obj=[0.0], H=[[1.0], [-1.0], [1.0]], g=[np.inf, -2.0, 1.0])
+    assert farkas_certifies(empty, [0.0, -1.0, -1.0])
+    assert solve_lp(empty).status == LpStatus.INFEASIBLE
+    # a point with a NaN never meets the recheck
+    monkeypatch.setattr(lp, "linprog", lambda prob, method="highs", basis=None: HighsRun(
+        lp.highs.HighsModelStatus.kOptimal, 0, x=np.array([np.nan])))
+    assert solve_lp(prob).status == LpStatus.NUMERICAL_FAILURE
+
+
 def test_false_infeasible_verdict_recovers_on_retry(monkeypatch):
     # the first run lies; the retry with the other algorithm is honest
     calls = []
@@ -215,14 +232,14 @@ def test_no_ray_certifies_a_feasible_lp():
 def _farkas_two_products(prob, ray):
     """farkas_certifies as first written: |A|'|y| always, and A'y formed
     once for y and once for -y.  The reference for the one-product form."""
-    A, row_lo, row_hi = prob.rows()
+    A, row_lo, row_hi = prob.A, prob.row_lo, prob.row_hi
     y = np.asarray(ray, dtype=float).ravel()
     peak = float(np.abs(y).max(initial=0.0))
     if peak == 0.0:
         return False
     y = y / peak
     y[np.abs(y) <= lp.RAY_TOL] = 0.0
-    slack = FEAS_TOL * float(np.abs(y) @ _row_scale(A, row_hi))
+    slack = FEAS_TOL * float(np.abs(y) @ prob.row_scale)
     rounding = lp.RAY_TOL * (abs(A).T @ np.abs(y))
     for cand in (y, -y):
         r_min = np.where(cand > 0, row_lo, np.where(cand < 0, row_hi, 0.0))
@@ -321,20 +338,50 @@ def test_row_dropped_by_the_solver_is_certified_by_inspection():
 
 
 def test_single_row_check_leaves_given_rows_untouched():
-    # the rows hold a stored zero against an infinite bound; the check
-    # drops it on a copy, not in the caller's matrix
+    # the caller's row holds a stored zero against an infinite bound; the
+    # program's canonical copy drops it, so the check forms no nan, and
+    # the caller's matrix keeps its entries
     A = sp.csr_matrix((np.array([0.0, 1.0]), np.array([0, 1]), np.array([0, 2])), shape=(1, 2))
     prob = LinearProgram(c_obj=[0.0, 0.0], E=A, f=[2.0], lb=[-np.inf, -1.0], ub=[np.inf, 1.0])
-    assert prob.E is A
-    rows = prob.rows()
-    assert single_row_certifies(prob, (A, rows[1], rows[2]))
+    assert prob.E is not A and prob.A.nnz == 1
+    with np.errstate(invalid="raise"):
+        assert single_row_certifies(prob)
+    assert solve_lp(prob).status == LpStatus.INFEASIBLE
     assert A.nnz == 2 and A.data.tolist() == [0.0, 1.0]
 
 
+def test_program_without_columns_matches_the_absolute_check():
+    # the verdicts of the inspection that settled column-free programs
+    # before single_row_certifies did: |f| <= FEAS_TOL and g >= -FEAS_TOL
+    def inspection(f, g):
+        return abs(f) <= FEAS_TOL and g >= -FEAS_TOL
+
+    values = [0.0, 0.5]
+    for v in (FEAS_TOL, 1.0):
+        for s in (v, -v):
+            values += [s, np.nextafter(s, np.inf), np.nextafter(s, -np.inf)]
+    verdicts = []
+    for f in values:
+        for g in values:
+            prob = LinearProgram(np.zeros(0), np.zeros((1, 0)), [f], np.zeros((1, 0)), [g])
+            sol = solve_lp(prob)
+            feasible = inspection(f, g)
+            assert sol.status == (LpStatus.OPTIMAL if feasible else LpStatus.INFEASIBLE), (f, g)
+            verdicts.append(feasible)
+    assert any(verdicts) and not all(verdicts)
+
+
 def _max_reference(M, rhs):
-    """_row_scale by SciPy's sparse max, on a copy (it sums duplicates in place)."""
+    """Row scales by SciPy's sparse max, on a copy (it sums duplicates in place)."""
     row_max = np.asarray(abs(M.copy()).max(axis=1).todense()).ravel()
     return np.maximum(1.0, np.maximum(row_max, np.abs(rhs)))
+
+
+def _scales(M, rhs):
+    """Row scales of M as equality rows and as inequality rows."""
+    n = M.shape[1]
+    return (LinearProgram(np.zeros(n), E=M, f=rhs).row_scale,
+            LinearProgram(np.zeros(n), H=M, g=rhs).row_scale)
 
 
 def test_row_scale_matches_the_sparse_max():
@@ -348,8 +395,8 @@ def test_row_scale_matches_the_sparse_max():
     )
     rhs = np.array([0.5, -0.25, 2.0, 1.0, 0.0])
     given = [a.tobytes() for a in (M.indptr, M.indices, M.data)]
-    scale = _row_scale(M, rhs)
-    assert scale.tolist() == [1.0, 1.0, 2.5, 2.25, 1.0]
+    for scale in _scales(M, rhs):
+        assert scale.tolist() == [1.0, 1.0, 2.5, 2.25, 1.0]
     assert [a.tobytes() for a in (M.indptr, M.indices, M.data)] == given
     rng = np.random.default_rng(41)
     for _ in range(50):
@@ -361,7 +408,8 @@ def test_row_scale_matches_the_sparse_max():
         indptr = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=m))])
         M = sp.csr_matrix((data, rng.integers(0, n, nnz), indptr), shape=(m, n))
         rhs = rng.normal(size=m) * 2
-        assert _row_scale(M, rhs).tobytes() == _max_reference(M, rhs).tobytes()
+        for scale in _scales(M, rhs):
+            assert scale.tobytes() == _max_reference(M, rhs).tobytes()
 
 
 # -- warm starts ------------------------------------------------------------

@@ -218,8 +218,6 @@ def test_full_dim_terminal_properties():
     for _ in range(5):
         eta = rng.normal(size=8)
         assert T.support(eta) <= X.support(eta) + 1e-6
-    with pytest.raises(ValueError):
-        make_full_dim_terminal(scn, pre_steps=0)
 
 
 def test_tube_accessor_bounds():
