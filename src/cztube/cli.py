@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible build,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -24,7 +23,7 @@ import numpy as np
 from . import guidance, landing, tube as tube_mod, uncertainty
 from .cone import CompactQuadraticCone, cqc_inner_approx
 from .czset import EmptySetError, NotFullDimensionalError
-from .landing import LandingScenario, discretize
+from .landing import CONTROL_DIM, LandingScenario, discretize
 from .lp import LpError
 
 EXIT_OK = 0
@@ -104,13 +103,14 @@ _SCENARIO_SCALARS = ("g", "T_full", "T_max", "T_min", "m_wet", "m_dry", "alpha",
 _SCENARIO_ANGLES = ("theta_max_deg", "gamma_max_deg")
 _SCENARIO_VECTORS = ("r_i", "v_i", "r_f", "v_f")
 _SCENARIO_INTEGERS = ("n_points", "N")
+_UNCERTAINTY_KEYS = ("uncertainty.sigma3_u", "uncertainty.sigma3_r_rate",
+                     "uncertainty.sigma3_v_rate", "uncertainty.lambda")
 # every key the readers below take: any other, such as a misspelt one,
 # would be silently ignored, so read_config rejects it
 CONFIG_KEYS = frozenset(
     [f"scenario.{key}" for key in _SCENARIO_SCALARS + _SCENARIO_ANGLES
      + _SCENARIO_VECTORS + _SCENARIO_INTEGERS]
-    + ["uncertainty.sigma3_u", "uncertainty.sigma3_r_rate", "uncertainty.sigma3_v_rate",
-       "uncertainty.lambda", "cone.t_max", "cone.dim", "cone.k"]
+    + list(_UNCERTAINTY_KEYS)
 )
 
 
@@ -173,12 +173,13 @@ def _write_csv(path, header, rows):
 
 
 def cmd_approx_cone(args) -> int:
-    cfg = read_config(args.config)
-    t_max = scalar(cfg, "cone.t_max")
-    dim = scalar(cfg, "cone.dim", int, 4)
-    k = args.k if args.k is not None else scalar(cfg, "cone.k", int, 302)
-    vertices, _ = cqc_inner_approx(CompactQuadraticCone(dim, t_max), k)
-    header = [f"x{i+1}" for i in range(dim)]
+    """The vertices of the thrust cone's inner approximation that
+    ``landing.build_control_set`` uses: radius accel_max, with --k or
+    else scenario.n_points rim points."""
+    scn = scenario_from_config(read_config(args.config))
+    k = scn.n_points if args.k is None else args.k
+    vertices, _ = cqc_inner_approx(CompactQuadraticCone(CONTROL_DIM, scn.accel_max), k)
+    header = [f"x{i+1}" for i in range(CONTROL_DIM)]
     _write_csv(args.out, header, [[float(v) for v in row] for row in vertices])
     print(f"wrote {len(vertices)} cone vertices to {args.out}")
     return EXIT_OK
@@ -206,11 +207,11 @@ def _step_printer(label):
 def cmd_build_tube(args) -> int:
     cfg = read_config(args.config)
     scn = scenario_from_config(cfg)
-    digest = tube_mod.scenario_digest(scn, robust=args.robust)
+    if args.robust and "uncertainty.lambda" not in cfg:
+        raise ConfigError("robust build requires the uncertainty config block")
+    digest = _tube_digest(cfg, scn, args.robust)
     t0 = time.perf_counter()
     if args.robust:
-        if "uncertainty.lambda" not in cfg:
-            raise ConfigError("robust build requires the uncertainty config block")
         if scn.N is None:
             raise ConfigError("robust build requires scenario.N")
         _, schedule, U_rob, Xf_full, dyn_wc = tube_mod.robust_parts(
@@ -257,18 +258,31 @@ TRAJ_HEADER = ["k", "t", "rx", "ry", "rz", "vx", "vy", "vz", "z", "c",
                "ux", "uy", "uz", "sigma"]
 
 
-def _load_tube(path, kind: str):
-    """The tube stored at path; ConfigError unless it is of ``kind``."""
+def _tube_digest(cfg: dict, scn: LandingScenario, robust: bool) -> bytes:
+    """The digest that ``build-tube`` stores in a tube and the commands
+    that load it check: of the scenario but for its start
+    (``tube.scenario_digest``), and for a robust tube of the
+    uncertainty.* numbers too."""
+    extra = {key: scalar(cfg, key) for key in _UNCERTAINTY_KEYS} if robust else {}
+    return tube_mod.scenario_digest(scn, robust=robust, **extra)
+
+
+def _load_tube(path, kind: str, cfg: dict, scn: LandingScenario):
+    """The tube stored at path; ConfigError unless it is of ``kind`` and
+    was built from this config's scenario (``_tube_digest``)."""
     loaded = tube_mod.deserialize_tube(path)
     if loaded.kind != kind:
         raise ConfigError(f"{path} holds a {loaded.kind} tube; this command needs a {kind} one")
+    if loaded.scenario_hash != _tube_digest(cfg, scn, kind == "robust"):
+        raise ConfigError(f"{path} was not built from this config; "
+                          f"rebuild it with cztube build-tube")
     return loaded
 
 
 def cmd_rollout(args) -> int:
     cfg = read_config(args.config)
     scn = scenario_from_config(cfg)
-    loaded = _load_tube(args.tube, "deterministic")
+    loaded = _load_tube(args.tube, "deterministic", cfg, scn)
     dyn = discretize(scn)
     U = landing.build_control_set(scn)
     x_i = scn.initial_state()
@@ -291,7 +305,7 @@ def cmd_rollout(args) -> int:
 def cmd_reach(args) -> int:
     cfg = read_config(args.config)
     scn = scenario_from_config(cfg)
-    loaded = _load_tube(args.tube, "deterministic")
+    loaded = _load_tube(args.tube, "deterministic", cfg, scn)
     if not 1 <= args.step <= loaded.N:
         raise ConfigError(f"--step {args.step} outside 1..{loaded.N}")
     dyn = discretize(scn)
@@ -318,18 +332,20 @@ def cmd_reach(args) -> int:
     return EXIT_OK
 
 
-MC_HEADER = ["trial", "seed", "success", "term_rx", "term_ry", "term_rz",
+MC_HEADER = ["trial", "seed", "success", "failure_step", "term_rx", "term_ry", "term_rz",
              "term_vx", "term_vy", "term_vz", "fuel_kg"]
 
 
 def _montecarlo_rows(summary):
-    """One MC_HEADER row per trial; a failed trial leaves its terminal
-    state and fuel empty."""
+    """One MC_HEADER row per trial.  failure_step is the step whose
+    one-step LP was infeasible, and then the terminal state and fuel are
+    empty; it is empty for a trial that ran to the end, which failed
+    (success 0) if it missed the terminal set."""
     rows = []
     for r in summary.results:
         term = r.terminal_state if r.terminal_state is not None else [None] * 8
         rows.append(
-            [r.trial, r.seed, int(r.success)]
+            [r.trial, r.seed, int(r.success), r.failure_step]
             + [None if term[i] is None else float(term[i]) for i in range(6)]
             + [None if r.fuel_kg is None else float(r.fuel_kg)]
         )
@@ -342,9 +358,7 @@ def cmd_montecarlo(args) -> int:
     cfg = read_config(args.config)
     scn = scenario_from_config(cfg)
     model = uncertainty_from_config(cfg)
-    loaded = _load_tube(args.tube, "robust")
-    # the schedule spans the loaded tube's horizon
-    scn = dataclasses.replace(scn, N=loaded.N)
+    loaded = _load_tube(args.tube, "robust", cfg, scn)
     dyn, schedule, U_rob, Xf_full, _ = tube_mod.robust_parts(scn, model)
     summary = guidance.monte_carlo(
         scn, loaded, model, schedule, U_rob, Xf_full, dyn, args.trials, args.seed

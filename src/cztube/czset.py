@@ -7,16 +7,24 @@ computation in this package.  All predicates (support, containment,
 emptiness) reduce to linear programs over the latent box intersected
 with the equality constraints.
 
-Each set has one canonical simplex basis (``ConstrainedZonotope.basis``):
-the optimal basis of its support LP in the min-cost direction
-(``min_cost_direction``), the LP that settles its emptiness.  Every LP
-on a set (emptiness, or support in any direction) starts from the one
-basis recorded when the set was made (``_start``), derived from the
-bases of its operands: a slice's extends its parent's, dual feasible in
-the min-cost direction; an affine image's and a translate's is its
-source's, primal feasible in every direction; an intersection's joins
-its operands', dual feasible in the min-cost direction.  Any other set
-records none, and its LPs run cold.
+Warm starts, the one statement of the package's policy: each set has
+one canonical simplex basis (``ConstrainedZonotope.basis``), the optimal
+basis of its support LP in the min-cost direction
+(``min_cost_direction``), the LP that settles its emptiness.  The tube
+recursions and ``landing.build_control_set`` settle it, and a tube file
+stores it.  Every LP on a set (emptiness, or support in any direction)
+starts from the one basis recorded when the set was made (``_start``),
+derived from the bases of its operands: a slice's extends its parent's,
+dual feasible in the min-cost direction; an affine image's and a
+translate's is its source's, primal feasible in every direction; an
+intersection's joins its operands', dual feasible in the min-cost
+direction.  Any other set records none, and its LPs run cold, as do
+containment LPs.  The online LPs are LPs on such sets (the horizon
+scan's and the divert footprint's slices, the decision-deferral
+intersections), and the one-step LP starts from the next tube set's and
+the control set's bases joined (``guidance._OneStepModel``).  A query
+only reads these bases and never takes one from an earlier query, so no
+answer depends on the order of the queries before it.
 """
 
 from __future__ import annotations
@@ -252,16 +260,6 @@ class ConstrainedZonotope:
                                  first.rows + second.rows + (BASIC,) * self.dim)
         return out
 
-    def intersect_affine(self, H, h) -> "ConstrainedZonotope":
-        """Exact {x in Z : H x = h}."""
-        H = np.atleast_2d(np.asarray(H, dtype=float))
-        h = np.asarray(h, dtype=float).ravel()
-        if H.shape[1] != self.dim:
-            raise ValueError("affine-set column count does not match set dimension")
-        A = sp.vstack([self.A, sp.csr_matrix(H @ self.G)], format="csr")
-        b = np.concatenate([self.b, h - H @ self.c])
-        return ConstrainedZonotope(self.G, self.c, A, b)
-
     def slice(self, dims, values, tol: float = 0.0) -> "ConstrainedZonotope":
         """Pin coordinates to values; ambient dimension is kept.
 
@@ -284,31 +282,28 @@ class ConstrainedZonotope:
         values = np.asarray(values, dtype=float).ravel()
         if dims.size != values.size:
             raise ValueError("slice index/value length mismatch")
-        E = np.zeros((dims.size, self.dim))
-        E[np.arange(dims.size), dims] = 1.0
         m = dims.size
+        E = np.zeros((m, self.dim))
+        E[np.arange(m), dims] = 1.0
+        banded = tol >= SMALL_MATRIX_VALUE
+        # A is the parent's rows followed by the pin rows [G[dims], -tol I]
+        # ([G[dims]] when exact), appended to the parent's CSR arrays as
+        # the pin rows' nonzeros
+        pins = np.hstack([E @ self.G, -tol * np.eye(m)]) if banded else E @ self.G
+        r, cols = np.nonzero(pins)
+        P = self.A
+        A = sp.csr_matrix(
+            (np.concatenate([P.data, pins[r, cols]]),
+             np.concatenate([P.indices, cols.astype(P.indices.dtype)]),
+             np.concatenate([P.indptr, P.nnz + np.cumsum(np.bincount(r, minlength=m))])),
+            shape=(P.shape[0] + m, pins.shape[1]),
+        )
+        G = np.hstack([self.G, np.zeros((self.dim, m))]) if banded else self.G
+        out = ConstrainedZonotope(G, self.c, A, np.concatenate([self.b, values - E @ self.c]))
         parent = self._offered_start()
-        if tol < SMALL_MATRIX_VALUE:
-            out = self.intersect_affine(E, values)
-            if parent is not None:
-                out._start = LpBasis(parent.cols, parent.rows + (BASIC,) * m)
-        else:
-            G = np.hstack([self.G, np.zeros((self.dim, m))])
-            # A is the parent's rows followed by the pin rows [G[dims], -tol I],
-            # appended to the parent's CSR arrays as the pin rows' nonzeros
-            pins = np.hstack([E @ self.G, -tol * np.eye(m)])
-            r, cols = np.nonzero(pins)
-            P = self.A
-            A = sp.csr_matrix(
-                (np.concatenate([P.data, pins[r, cols]]),
-                 np.concatenate([P.indices, cols.astype(P.indices.dtype)]),
-                 np.concatenate([P.indptr, P.nnz + np.cumsum(np.bincount(r, minlength=m))])),
-                shape=(P.shape[0] + m, G.shape[1]),
-            )
-            b = np.concatenate([self.b, values - E @ self.c])
-            out = ConstrainedZonotope(G, self.c, A, b)
-            if parent is not None:
-                out._start = LpBasis(parent.cols + (BASIC,) * m, parent.rows + (NONBASIC,) * m)
+        if parent is not None:
+            out._start = (LpBasis(parent.cols + (BASIC,) * m, parent.rows + (NONBASIC,) * m)
+                          if banded else LpBasis(parent.cols, parent.rows + (BASIC,) * m))
         return out
 
     def _offered_start(self) -> Optional[LpBasis]:

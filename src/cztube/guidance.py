@@ -9,24 +9,9 @@ translation-invariant horizontal subspace, a decision-deferral rollout
 that keeps two landing sites reachable as long as possible, and a
 Monte Carlo harness for the robust configuration.
 
-The horizon scan and the one-step LPs are warm-started.  Across queries
-each of these LPs keeps its matrix and objective, and only the pinned
-physical state changes, so dual simplex starts from an optimal basis of
-the same LP with the state left free.  That basis is assembled from the
-canonical basis (``ConstrainedZonotope.basis``) that every tube set
-carries from the build, where its emptiness check leaves it, or from the
-tube file, and for the one-step LP from the control set's, which
-``landing.build_control_set`` settles.  A query only reads these bases,
-never computes one, and never takes a basis from a previous query, so
-every answer is independent of the order of the queries before it.  The
-divert footprint (``instantaneous_reachable``) settles the emptiness of
-its slice with the slice's min-cost support LP, warm from the same
-basis, and every support LP of the footprint starts from that LP's
-optimal basis, which is primal feasible for all of them.  The effective
-sets of ``ddto_rollout``, CS_k ∩ (CS_k + δ), start from CS_k's basis
-taken twice with the coupling rows basic (``ConstrainedZonotope.intersect``),
-which is dual feasible for their min-cost LPs and those of their slices,
-so a deferred rollout runs cold only its containment LPs.
+Every LP here starts from a basis built from the canonical bases that
+the tube sets and the control set carry, as ``cztube.czset`` sets out;
+no query computes one, so answers do not depend on query order.
 """
 
 from __future__ import annotations
@@ -48,6 +33,8 @@ from .uncertainty import DisturbanceSchedule, UncertaintyModel
 SLICE_TOL = 1e-6
 START_TOL = 1e-6
 TIE_TOL = 1e-9
+# the translation-invariant state coordinates: the horizontal position
+CYCLIC_DIMS = (0, 1)
 
 
 class NoContainmentError(Exception):
@@ -393,38 +380,33 @@ def instantaneous_reachable(
     tube: ControllableTube,
     k: int,
     x_hat_f,
-    cyclic_dims=(0, 1),
-    dyn: Optional[DiscreteDynamics] = None,
-    tol: float = SLICE_TOL,
+    dyn: DiscreteDynamics,
 ) -> ConstrainedZonotope:
     """Terminal-subspace points reachable from the current state at index k.
 
     Slices the tube set at the current non-cyclic state, projects onto
-    the cyclic coordinates, and reflects the result about the current
-    cyclic position shifted to the target: x_hat_k + (-S) + x_hat_f.
+    the cyclic coordinates (the horizontal position, ``CYCLIC_DIMS``),
+    and reflects the result about the current cyclic position shifted to
+    the target: x_hat_k + (-S) + x_hat_f.  ValueError unless dyn leaves
+    the cyclic coordinates translation-invariant.
 
     One LP, the slice's support LP in the min-cost direction, settles
-    whether the slice is empty.  It starts from the tube set's canonical
-    basis, and its optimal basis is the start of every support query on
-    the result: the projection and reflection keep the slice's latent LP,
-    for which that basis is primal feasible in every direction.
+    whether the slice is empty, and its optimal basis is the start of
+    every support query on the result (``cztube.czset``).
     """
-    cyclic = np.asarray(cyclic_dims, dtype=int)
-    comp = np.array([i for i in range(STATE_DIM) if i not in set(cyclic.tolist())])
     x_hat_k = np.asarray(x_hat_k, dtype=float).ravel()
     x_comp_k = np.asarray(x_comp_k, dtype=float).ravel()
     x_hat_f = np.asarray(x_hat_f, dtype=float).ravel()
-    if dyn is not None and not check_translation_invariant(dyn, cyclic):
+    if not check_translation_invariant(dyn, CYCLIC_DIMS):
         raise ValueError("cyclic coordinates are not translation-invariant")
-    cs = tube.cs(k)
-    sliced = cs.slice(comp, x_comp_k, tol=tol)
+    comp = [i for i in range(STATE_DIM) if i not in CYCLIC_DIMS]
+    sliced = tube.cs(k).slice(comp, x_comp_k, tol=SLICE_TOL)
     if sliced.is_empty():
         raise EmptySliceError(
             f"non-cyclic state is outside the step-{k} controllable set"
         )
-    S = sliced.project(cyclic)
-    m = cyclic.size
-    return S.affine_map(-np.eye(m), x_hat_k + x_hat_f)
+    S = sliced.project(CYCLIC_DIMS)
+    return S.affine_map(-np.eye(len(CYCLIC_DIMS)), x_hat_k + x_hat_f)
 
 
 # -- decision-deferral rollout --------------------------------------------
@@ -559,8 +541,9 @@ def monte_carlo(
     disturbance-eroded next tube set; the applied control carries
     execution noise and the true state follows the nominal dynamics.
     Success requires the true terminal state inside the full-dimensional
-    terminal set.  Each trial's random stream depends only on
-    (master_seed, trial index), so results are order-independent.
+    terminal set.  Trials run in a thread pool (``_thread_count``
+    workers); each trial's random stream depends only on (master_seed,
+    trial index), so results do not depend on the pool size.
 
     eroded may carry the per-step disturbance-eroded targets captured
     during the tube build (eroded[k] inner-approximates the tube's step
@@ -597,10 +580,6 @@ def monte_carlo(
         fuel = scn.m_wet - float(np.exp(y[6]))
         return TrialResult(t, master_seed, bool(ok), y.copy(), fuel)
 
-    workers = min(_thread_count(), trials) or 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_trial, range(trials)))
-    else:
-        results = [run_trial(t) for t in range(trials)]
+    with ThreadPoolExecutor(max_workers=min(_thread_count(), trials) or 1) as pool:
+        results = list(pool.map(run_trial, range(trials)))
     return MonteCarloSummary(trials, sum(r.success for r in results), results)

@@ -61,8 +61,6 @@ class LandingScenario:
     dt: float = 3.0
     n_points: int = 302
     N: Optional[int] = None
-    H_GS: Optional[np.ndarray] = None
-    h_GS: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.r_i = np.asarray(self.r_i, dtype=float)
@@ -77,11 +75,6 @@ class LandingScenario:
             raise ValueError("pointing half-angle must not exceed 90 degrees")
         if self.dt <= 0:
             raise ValueError("sampling time must be positive")
-        if self.H_GS is None:
-            self.H_GS, self.h_GS = default_glideslope(self.gamma_max)
-        else:
-            self.H_GS = np.atleast_2d(np.asarray(self.H_GS, dtype=float))
-            self.h_GS = np.asarray(self.h_GS, dtype=float).ravel()
 
     @property
     def z_min(self) -> float:
@@ -157,7 +150,7 @@ def build_state_set(scn: LandingScenario) -> ConstrainedZonotope:
         [np.full(3, scn.r_max), np.full(3, scn.v_max), [scn.z_max, scn.c_max]]
     )
     Z = ConstrainedZonotope.from_box(lower, upper)
-    for row, off in zip(scn.H_GS, scn.h_GS):
+    for row, off in zip(*default_glideslope(scn.gamma_max)):
         normal = np.zeros(STATE_DIM)
         normal[R_IDX] = row
         Z = Z.intersect_halfspace(Halfspace(normal, off))

@@ -27,24 +27,11 @@ the interior-point method ("highs-ipm").  A solution is the primal
 point, its objective and, after simplex, its basis; no duals are read.
 
 Simplex can start from a given basis (``LpBasis``; an optimal simplex
-run reports its own).  The checks above apply unchanged to a warm run,
-and its retry runs cold.  Callers pass only canonical bases, which
-depend on the program's fixed data and never on an earlier query, so
-answers do not depend on the order of queries.  Each is built from the
-canonical bases of constrained zonotopes (``ConstrainedZonotope.basis``),
-and is of one of three kinds: a basis that is dual feasible for the
-program (an optimal basis of the same objective over related rows,
-e.g. a tube set's for the min-cost LPs of its slices, or two sets'
-joined, with the coupling rows basic, for the min-cost LP of their
-intersection), one that is primal feasible (an optimal basis of the
-same rows and bounds under another objective, e.g. a slice's for the
-support LPs of its affine images), and a basis that is neither, from
-which simplex goes further: a slice's or an intersection's start in
-another direction, and the one-step LP's under dynamics whose cost row
-reads other states.  HiGHS picks the
-simplex variant of a warm run from the start it is given: primal
-simplex from a primal feasible basis, dual simplex otherwise.  Cold
-runs use dual simplex.
+run reports its own).  Which basis each LP starts from is set out once,
+in ``cztube.czset``.  The checks above apply unchanged to a warm run,
+and its retry runs cold.  HiGHS picks the simplex variant of a warm run
+from the start it is given: primal simplex from a primal feasible
+basis, dual simplex otherwise.  Cold runs use dual simplex.
 """
 
 from __future__ import annotations
@@ -158,8 +145,13 @@ class LinearProgram:
         if self.lb.size != n or self.ub.size != n:
             raise ValueError("bound length does not match objective length")
         # stacking CSR blocks only concatenates their arrays, and keeps
-        # them canonical
-        self.A = sp.vstack([self.H, self.E], format="csr")
+        # them canonical; a block without rows leaves the other as it is
+        if not self.H.shape[0]:
+            self.A = self.E
+        elif not self.E.shape[0]:
+            self.A = self.H
+        else:
+            self.A = sp.vstack([self.H, self.E], format="csr")
         self.row_lo = np.concatenate([np.full(self.g.size, -np.inf), self.f])
         self.row_hi = np.concatenate([self.g, self.f])
         row_max = np.zeros(self.A.shape[0])
@@ -398,14 +390,10 @@ def solve_lp(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis
     faster on the large sparse programs built by the set-erosion
     routine.
 
-    basis warm-starts simplex (IPM ignores it).  Callers pass only
-    canonical bases: built from the optimal bases of fixed reference
-    programs that depend on nothing but the caller's sets, never from
-    the basis of a previous query, so an answer does not depend on the
-    order of the queries before it.  The module docstring lists the
-    kinds passed; any nonsingular basis is a valid start.  A warm start
-    changes how the solver gets to its verdict, not how the verdict is
-    checked.
+    basis warm-starts simplex (IPM ignores it); callers pass the bases
+    that ``cztube.czset`` sets out, and any nonsingular basis is a valid
+    start.  A warm start changes how the solver gets to its verdict, not
+    how the verdict is checked.
 
     The contract on the result:
 

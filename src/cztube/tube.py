@@ -9,17 +9,13 @@ disturbance before stepping backward.  Both are plain set algebra: no
 step reduces a set's latent equality rows, and the LP layer certifies
 its verdicts on dependent or inconsistent rows (see ``cztube.lp``).
 
-Each set is made with its canonical basis (``ConstrainedZonotope.basis``),
-the optimal basis of its support LP in the direction of least
-cost-to-go, which the set's emptiness check leaves behind, and the tube
-file stores it.  The online queries warm-start from these
-bases (see ``cztube.guidance``) and never compute one themselves, so a
-process that loads a tube and lands once gets the warm starts too.
+The tube file stores each set's canonical basis (see ``cztube.czset``),
+so a process that loads a tube and lands once starts warm.
 
 Tube file, format version 3 (all little-endian):
 
 - ``CZTB``, then ``<IBId`` (version, kind code, N, dt), then the 32-byte
-  scenario digest;
+  scenario digest (``scenario_digest``; the CLI checks it on load);
 - per set CS_1 ... CS_N: ``<IIIQ`` (n, n_g, n_e, nnz of A); G (n x n_g
   ``<f8``, row-major) and c (n ``<f8``); A in the canonical CSR form
   every set holds (duplicates summed, no stored zeros, column indices
@@ -110,9 +106,11 @@ class ControllableTube:
 
 
 def scenario_digest(scn: LandingScenario, **extra) -> bytes:
-    """Stable 32-byte digest of the generating parameters."""
+    """Stable 32-byte digest of the parameters a tube is built from:
+    every scenario field but the start (r_i, v_i), since one tube serves
+    every start it contains, and the extra ones given."""
     h = hashlib.sha256()
-    for name in sorted(vars(scn)):
+    for name in sorted(set(vars(scn)) - {"r_i", "v_i"}):
         val = getattr(scn, name)
         h.update(name.encode())
         h.update(np.asarray(val, dtype=float).tobytes() if val is not None else b"none")

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cztube import guidance
 from cztube.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE_QUERY,
@@ -22,6 +23,8 @@ from cztube.cli import (
     scenario_from_config,
     uncertainty_from_config,
 )
+from cztube.cone import CompactQuadraticCone, cqc_inner_approx
+from cztube.landing import CONTROL_DIM
 from cztube.tube import deserialize_tube
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -38,9 +41,6 @@ scenario.dt = 3
 scenario.n_points = 30
 scenario.r_i = 0, 0, 120
 scenario.v_i = 0, 0, -10
-cone.t_max = 4.4094488188976375
-cone.dim = 4
-cone.k = 30
 """
 
 ROB_CFG = """
@@ -101,6 +101,13 @@ def rob_tube(rob_build):
     return rob_build.path
 
 
+def _with_line(base, line):
+    """base with the line for line's key replaced by line."""
+    key = line.split(" = ")[0]
+    return "\n".join([ln for ln in base.splitlines() if not ln.startswith(key + " ")]
+                     + [line]) + "\n"
+
+
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -152,13 +159,30 @@ def test_approx_cone_vertex_count(det_cfg, tmp_path):
     assert len(rows) == 5  # four rim vertices plus the origin
 
 
-def test_approx_cone_missing_key(tmp_path, capsys):
-    cfg = tmp_path / "no_tmax.cfg"
-    cfg.write_text("cone.dim = 4\n")
-    code = main(["approx-cone", "--config", str(cfg), "--out",
-                 str(tmp_path / "o.csv")])
+def test_approx_cone_is_the_control_sets_cone(det_cfg, tmp_path):
+    # the vertices are those of the cone build_control_set uses: radius
+    # T_max / m_wet and scenario.n_points rim points, or --k of them
+    scn = scenario_from_config(read_config(det_cfg))
+    for k in (None, 7):
+        out = tmp_path / f"cone{k}.csv"
+        argv = [] if k is None else ["--k", str(k)]
+        assert main(["approx-cone", "--config", str(det_cfg), *argv,
+                     "--out", str(out)]) == EXIT_OK
+        _, rows = read_csv(out)
+        vertices, _ = cqc_inner_approx(CompactQuadraticCone(CONTROL_DIM, scn.accel_max),
+                                       scn.n_points if k is None else k)
+        assert np.array_equal(np.array(rows, dtype=float), vertices)
+
+
+def test_cone_keys_are_unknown(tmp_path, capsys):
+    # the cone comes from the scenario, so a config cannot set it apart
+    # (the other cone.* keys: see test_scalar_key_takes_one_number)
+    cfg = tmp_path / "cone.cfg"
+    cfg.write_text(DET_CFG + "cone.t_max = 4\n")
+    code = main(["approx-cone", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
     assert code == EXIT_CONFIG
-    assert "cone.t_max" in capsys.readouterr().err
+    assert "unknown config key 'cone.t_max'" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -183,14 +207,14 @@ def test_approx_cone_missing_key(tmp_path, capsys):
 )
 def test_scalar_key_takes_one_number(line, argv, tmp_path, capsys):
     # a list, a word, a number that is not finite, a fraction where an
-    # integer belongs, or a misspelt key is a config error that names the
-    # key, not a crash, a truncated value or a silent default.  The line
+    # integer belongs, or a misspelt or retired key (the cone.* keys: the
+    # cone comes from the scenario) is a config error that names the key,
+    # not a crash, a truncated value or a silent default.  The line
     # replaces the base config's own line for the key, so the error is
     # not the one for a key given twice
     key = line.split(" = ")[0]
-    base = (ROB_CFG if "--robust" in argv else DET_CFG).splitlines()
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("\n".join([ln for ln in base if not ln.startswith(key + " ")] + [line]) + "\n")
+    cfg.write_text(_with_line(ROB_CFG if "--robust" in argv else DET_CFG, line))
     code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -376,3 +400,66 @@ def test_ddto_rollout_cli(det_cfg, det_tube, tmp_path, capsys):
     code = main(["rollout", "--config", str(det_cfg), "--tube", str(det_tube),
                  "--ddto", "5,0", "--out", str(out)])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("line", ["scenario.n_points = 20", "scenario.T_max = 8000",
+                                  "scenario.N = 6"])
+def test_deterministic_tube_from_another_scenario_asks_for_a_rebuild(line, det_cfg, det_tube,
+                                                                     tmp_path, capsys):
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(_with_line(DET_CFG, line))
+    for command, extra in (("rollout", []), ("reach", ["--step", "8"])):
+        code = main([command, "--config", str(cfg), "--tube", str(det_tube), *extra,
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_CONFIG
+        assert "rebuild" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["uncertainty.sigma3_u = 0.02", "uncertainty.lambda = 0.9",
+                                  "scenario.N = 5", "scenario.n_points = 12"])
+def test_robust_tube_from_another_model_asks_for_a_rebuild(line, rob_cfg, rob_tube, tmp_path,
+                                                           capsys):
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(_with_line(ROB_CFG, line))
+    code = main(["montecarlo", "--config", str(cfg), "--tube", str(rob_tube),
+                 "--trials", "1", "--out", str(tmp_path / "mc.csv")])
+    assert code == EXIT_CONFIG
+    assert "rebuild" in capsys.readouterr().err
+    assert not (tmp_path / "mc.csv").exists()
+
+
+def test_robust_tube_serves_another_start(rob_tube, tmp_path):
+    # the digest leaves out the start, which a tube serves many of (for a
+    # deterministic tube, see test_rollout_unreachable_start)
+    cfg = tmp_path / "rob.cfg"
+    cfg.write_text(_with_line(ROB_CFG, "scenario.r_i = 0, 0, 290"))
+    assert main(["montecarlo", "--config", str(cfg), "--tube", str(rob_tube),
+                 "--trials", "1", "--out", str(tmp_path / "mc.csv")]) == EXIT_OK
+
+
+def test_montecarlo_csv_reports_the_infeasible_step(rob_cfg, rob_tube, tmp_path, monkeypatch):
+    # trial 0's one-step LP at step 2 is made infeasible; its row names
+    # that step and leaves the terminal state and fuel empty, while a
+    # trial that ran to the end leaves failure_step empty
+    one_step = guidance.one_step_ocp
+    calls = []
+
+    def failing_second_step(x_k, cs_next, *args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise guidance.InfeasibleError("forced")
+        return one_step(x_k, cs_next, *args)
+
+    monkeypatch.setenv("CZTUBE_THREADS", "1")
+    monkeypatch.setattr(guidance, "one_step_ocp", failing_second_step)
+    out = tmp_path / "mc.csv"
+    assert main(["montecarlo", "--config", str(rob_cfg), "--tube", str(rob_tube),
+                 "--trials", "2", "--seed", "3", "--out", str(out)]) == EXIT_OK
+    header, rows = read_csv(out)
+    at = {name: i for i, name in enumerate(header)}
+    failed, landed = rows
+    assert failed[at["success"]] == "0" and failed[at["failure_step"]] == "2"
+    assert all(failed[i] == "" for i in range(at["term_rx"], len(header)))
+    assert landed[at["success"]] == "1" and landed[at["failure_step"]] == ""
+    assert landed[at["fuel_kg"]] != ""

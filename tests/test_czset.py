@@ -161,29 +161,70 @@ def test_self_intersection_preserves_supports():
         )
 
 
-def test_intersect_affine_segment():
-    z = CZ.from_box([-1.0, -1.0], [1.0, 1.0]).intersect_affine(
-        np.array([[1.0, 0.0]]), [0.0]
-    )
+def test_slice_segment():
+    z = CZ.from_box([-1.0, -1.0], [1.0, 1.0]).slice([0], [0.0])
     assert z.contains_point([0.0, 1.0])
     assert z.contains_point([0.0, -1.0])
     assert not z.contains_point([0.5, 0.0])
 
 
-def test_intersect_affine_outside_empty():
-    z = CZ.from_box([-1.0, -1.0], [1.0, 1.0]).intersect_affine(
-        np.array([[1.0, 0.0]]), [2.0]
-    )
+def test_slice_outside_empty():
+    z = CZ.from_box([-1.0, -1.0], [1.0, 1.0]).slice([0], [2.0])
     assert z.is_empty()
 
 
-def test_intersect_affine_simplex_cut():
+def test_slice_simplex_cut():
     simplex = CZ.from_vertices([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-    cut = simplex.intersect_affine(np.array([[1.0, 0.0]]), [1.0])
+    cut = simplex.slice([0], [1.0])
     # the cut at x1 = 1 is the segment from (1,0) to (1,1)
     assert abs(cut.support([0.0, 1.0]) - 1.0) <= 1e-9
     assert abs(cut.support([0.0, -1.0]) - 0.0) <= 1e-9
     assert cut.contains_point([1.0, 0.5])
+
+
+def _exact_slice_by_selector_rows(z, dims, values):
+    """The exact slice as {x in z : E x = values} with selector rows E,
+    stacked under z's rows as sparse blocks, started from z's offered
+    start with the pin rows basic."""
+    E = np.zeros((len(dims), z.dim))
+    E[np.arange(len(dims)), dims] = 1.0
+    A = sp.vstack([z.A, sp.csr_matrix(E @ z.G)], format="csr")
+    out = CZ(z.G, z.c, A, np.concatenate([z.b, values - E @ z.c]))
+    parent = z._offered_start()
+    if parent is not None:
+        out._start = lp.LpBasis(parent.cols, parent.rows + (lp.BASIC,) * len(dims))
+    return out
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12])
+def test_exact_slice_matches_the_selector_row_construction(tol):
+    # the exact slice appends the pin rows to the parent's CSR arrays, as
+    # the banded one does: its arrays and its start are bitwise those of
+    # the selector-row construction, for settled and unsettled parents,
+    # zero entries in G, repeated or unordered dims, and sets with no rows
+    rng = np.random.default_rng(37)
+    for trial in range(60):
+        dim = int(rng.integers(2, 6))
+        z = random_cz(rng, dim=dim, n_g=int(rng.integers(dim, 10)),
+                      n_e=int(rng.integers(0, 3)))
+        if trial % 3 == 0:
+            G = z.G.copy()
+            G[rng.integers(dim), rng.integers(z.n_generators)] = 0.0
+            z = CZ(G, z.c, z.A, z.b)
+        if trial % 2 == 0:
+            z.is_empty()
+        dims = rng.choice(dim, size=int(rng.integers(1, dim + 1)), replace=trial % 5 == 0)
+        values = rng.normal(size=dims.size)
+        got = z.slice(dims, values, tol=tol)
+        ref = _exact_slice_by_selector_rows(z, dims, values)
+        assert got.G.tobytes() == ref.G.tobytes() and got.G.shape == ref.G.shape
+        assert got.c.tobytes() == ref.c.tobytes()
+        assert got.b.tobytes() == ref.b.tobytes()
+        assert got.A.shape == ref.A.shape
+        assert _arrays(got.A) == _arrays(ref.A)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got.A, name).dtype == getattr(ref.A, name).dtype
+        assert got._start == ref._start
 
 
 def test_slice_matches_intersect_affine():

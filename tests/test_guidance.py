@@ -394,6 +394,11 @@ def test_translation_invariance_check():
     assert not check_translation_invariant(coupled, (0, 1))
 
 
+def _identity_dynamics():
+    """x+ = x: every coordinate is translation-invariant."""
+    return DiscreteDynamics(A=np.eye(8), B=np.zeros((8, 4)), d=np.zeros(8), dt=1.0)
+
+
 def test_instantaneous_reachable_reflection():
     half = np.array([3.0, 3.0, 5, 5, 5, 5, 5, 5])
     center = np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0])
@@ -402,7 +407,8 @@ def test_instantaneous_reachable_reflection():
     )
     x_hat_k = np.array([10.0, 0.0])
     x_hat_f = np.array([3.0, 3.0])
-    R = instantaneous_reachable(x_hat_k, np.zeros(6), tube, 1, x_hat_f)
+    R = instantaneous_reachable(x_hat_k, np.zeros(6), tube, 1, x_hat_f,
+                                dyn=_identity_dynamics())
     lo, hi = R.interval_hull()
     # reflection of [-2,4]x[-2,4] about the shifted origin (13, 3)
     assert np.allclose(lo, [13.0 - 4.0, 3.0 - 4.0], atol=1e-9)
@@ -413,11 +419,9 @@ def test_instantaneous_reachable_guards():
     tube = ControllableTube([box8([1.0] * 8)], 1.0, "deterministic")
     with pytest.raises(EmptySliceError):
         instantaneous_reachable(
-            np.zeros(2), np.full(6, 50.0), tube, 1, np.zeros(2)
+            np.zeros(2), np.full(6, 50.0), tube, 1, np.zeros(2), dyn=_identity_dynamics()
         )
-    coupled = DiscreteDynamics(
-        A=np.eye(8), B=np.zeros((8, 4)), d=np.zeros(8), dt=1.0
-    )
+    coupled = _identity_dynamics()
     coupled.A[3, 0] = 0.5
     with pytest.raises(ValueError):
         instantaneous_reachable(

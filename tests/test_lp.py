@@ -536,3 +536,19 @@ def test_failure_with_a_basis_is_retried_cold(monkeypatch):
     sol = solve_lp(at(f), basis=basis)
     assert sol.status == LpStatus.OPTIMAL
     assert calls == [("highs", basis), ("highs-ipm", None)]
+
+
+def test_program_with_one_block_of_rows_holds_that_block():
+    # A = [H; E] is the block itself when the other has no rows, so no
+    # program copies its rows; with both, the rows of H come first
+    E = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 0.0]]))
+    H = sp.csr_matrix(np.array([[0.0, 3.0, 1.0]]))
+    only_e = LinearProgram(c_obj=np.zeros(3), E=E, f=[1.0, 2.0])
+    only_h = LinearProgram(c_obj=np.zeros(3), H=H, g=[4.0])
+    both = LinearProgram(c_obj=np.zeros(3), E=E, f=[1.0, 2.0], H=H, g=[4.0])
+    assert only_e.A is only_e.E is E and only_h.A is only_h.H is H
+    assert only_e.row_lo.tolist() == only_e.row_hi.tolist() == [1.0, 2.0]
+    assert only_h.row_lo.tolist() == [-np.inf] and only_h.row_hi.tolist() == [4.0]
+    assert both.A.toarray().tolist() == [[0.0, 3.0, 1.0], [1.0, 0.0, 2.0], [0.0, -1.0, 0.0]]
+    for prob in (only_e, only_h, both):
+        assert solve_lp(prob).status == LpStatus.OPTIMAL

@@ -239,6 +239,10 @@ def test_scenario_digest_sensitivity():
     c = scenario_digest(LandingScenario(), n_points=14)
     assert len(a) == 32 and a != b and a != c
     assert scenario_digest(LandingScenario()) == a
+    # one tube serves every start it contains, so the start is left out
+    moved = LandingScenario(r_i=np.array([1.0, 2.0, 3.0]), v_i=np.array([4.0, 5.0, 6.0]))
+    assert scenario_digest(moved) == a
+    assert scenario_digest(LandingScenario(r_f=np.ones(3))) != a
 
 
 def _assert_roundtrip_bitwise(tube, tmp_path):
