@@ -357,12 +357,10 @@ class ConstrainedZonotope:
 
     def _settle_emptiness(self):
         """(empty, basis) from the min-cost support LP (``is_empty``)."""
-        eta = min_cost_direction(self.dim)
-        sol = solve_lp(self._support_lp(eta), basis=self._start)
-        if sol.status == LpStatus.INFEASIBLE:
+        try:
+            _, sol = self._support_solution(min_cost_direction(self.dim))
+        except EmptySetError:
             return True, None
-        if sol.status != LpStatus.OPTIMAL:
-            raise LpError(f"emptiness LP ended with status {sol.status}")
         return False, sol.basis
 
     def _support_lp(self, eta) -> LinearProgram:

@@ -16,6 +16,7 @@ no query computes one, so answers do not depend on query order.
 
 from __future__ import annotations
 
+import copy
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -69,8 +70,14 @@ class RolloutLog:
     start_index: int
     records: List[StepRecord]
     terminal_state: np.ndarray
-    total_cost: float
+    c_star: float
     branch_step: Optional[int] = None
+
+    @property
+    def total_cost(self) -> float:
+        """The cost-to-go of the first step, or the scan's c* when no step
+        ran."""
+        return float(self.records[0].state[-1]) if self.records else self.c_star
 
     def sigma_gap(self) -> float:
         """Max relative slack of the magnitude relaxation over the rollout."""
@@ -99,9 +106,11 @@ def _min_cost_at_state(cs: ConstrainedZonotope, x_i: np.ndarray, tol: float = SL
 
 
 def _horizon_scan(sets, x_i: np.ndarray, tol: float, outside: str) -> HorizonQuery:
-    """Cheapest containing index among sets (sets[k-1] is index k); cost
-    ties go to the larger index.  Raises NoContainmentError(outside)
-    when no set contains the state."""
+    """Cheapest containing index among sets (sets[k-1] is index k) for the
+    7-dim physical state x_i; cost ties go to the larger index.  Raises
+    NoContainmentError(outside) when no set contains the state."""
+    if x_i.size != STATE_DIM - 1:
+        raise ValueError("horizon query expects the 7-dim physical state")
     costs = {}
     for k, cs in enumerate(sets, start=1):
         c_k = _min_cost_at_state(cs, x_i, tol=tol)
@@ -122,8 +131,6 @@ def optimal_horizon(x_i, tube: ControllableTube, tol: float = SLICE_TOL) -> Hori
     larger index (shorter remaining horizon).
     """
     x_i = np.asarray(x_i, dtype=float).ravel()
-    if x_i.size != STATE_DIM - 1:
-        raise ValueError("horizon query expects the 7-dim physical state")
     return _horizon_scan(tube.sets, x_i, tol, "initial state is outside every controllable set")
 
 
@@ -133,20 +140,22 @@ def optimal_horizon(x_i, tube: ControllableTube, tol: float = SLICE_TOL) -> Hori
 @dataclass
 class _OneStepModel:
     """The one-step LP into one tube set for one control set and dynamics,
-    with the physical state as free columns.
+    with the physical state as free columns, and its start, both fixed
+    when the model is built.
 
     With the state free, the 8 state columns meet the 8 dynamics rows
     whatever the latents are, so the LP splits into two support LPs, with
     w = A^-T e_8: the next set's in direction -w and the control set's in
     direction B'w.  The start (``basis``) joins the two sets' canonical
-    bases, with the state columns basic and the dynamics rows nonbasic.
-    When the cost row of A is e_8', as in ``landing.discretize`` and its
-    worst-case variant, w = e_8: -w is the min-cost direction and B'w a
-    nonnegative multiple of the control set's, so the start is an optimal
-    basis of the state-free LP, with dual weights w on the dynamics rows,
-    and dual feasible for every pinned state.  For other dynamics it is
-    still a basis, as the state columns meet an invertible A, but not
-    dual feasible, and simplex goes further from it.
+    bases, with the state columns basic and the dynamics rows nonbasic,
+    and is None when either set has no basis.  When the cost row of A is
+    e_8', as in ``landing.discretize`` and its worst-case variant,
+    w = e_8: -w is the min-cost direction and B'w a nonnegative multiple
+    of the control set's, so the start is an optimal basis of the
+    state-free LP, with dual weights w on the dynamics rows, and dual
+    feasible for every pinned state.  For other dynamics it is still a
+    basis, as the state columns meet an invertible A, but not dual
+    feasible, and simplex goes further from it.
 
     The control set and dynamics are held so that the ids keying the
     model on the tube set stay theirs."""
@@ -154,59 +163,41 @@ class _OneStepModel:
     control_set: ConstrainedZonotope
     dyn: DiscreteDynamics
     prob: LinearProgram
-
-    def basis(self, cs_next: ConstrainedZonotope) -> Optional[LpBasis]:
-        """The starting basis, or None when cs_next or the control set
-        carries no basis."""
-        b_next = cs_next.basis()
-        b_u = self.control_set.basis()
-        if b_next is None or b_u is None:
-            return None
-        return LpBasis(
-            b_u.cols + b_next.cols + (BASIC,) * STATE_DIM,
-            (NONBASIC,) * STATE_DIM + b_u.rows + b_next.rows,
-        )
+    basis: Optional[LpBasis]
 
 
 def _one_step_model(cs_next, control_set, dyn) -> _OneStepModel:
     Gu, cu, Au, bu = control_set.G, control_set.c, control_set.A, control_set.b
     Gn, cn, An, bn = cs_next.G, cs_next.c, cs_next.A, cs_next.b
-    n_u, n_n, n_x = Gu.shape[1], Gn.shape[1], STATE_DIM - 1
-    # variables: [xi_u (n_u), xi_next (n_n), c_k, x_phys (7)]
-    nv = n_u + n_n + 1 + n_x
-    c_obj = np.zeros(nv)
-    c_obj[n_u + n_n] = 1.0
-    # dynamics/membership: A x + B(Gu xi_u + cu) + d = Gn xi_next + cn
-    # with x = (x_phys, c_k):  B Gu xi_u - Gn xi_next + A[:, -1] c_k
-    #                          + A[:, :7] x_phys = cn - d - B cu
-    lhs = sp.hstack(
+    n_lat = Gu.shape[1] + Gn.shape[1]
+    # variables: [xi_u, xi_next, c_k, x_phys (7)], the latents first and
+    # the 8 state columns last.  Dynamics/membership:
+    # A x + B(Gu xi_u + cu) + d = Gn xi_next + cn with x = (x_phys, c_k):
+    # B Gu xi_u - Gn xi_next + A[:, -1] c_k + A[:, :7] x_phys = cn - d - B cu
+    E = sp.bmat(
         [
-            sp.csr_matrix(dyn.B @ Gu),
-            sp.csr_matrix(-Gn),
-            sp.csr_matrix(dyn.A[:, -1][:, None]),
-            sp.csr_matrix(dyn.A[:, :n_x]),
-        ],
-        format="csr",
-    )
-    E = sp.vstack(
-        [
-            lhs,
-            sp.hstack([Au, sp.csr_matrix((Au.shape[0], n_n + 1 + n_x))], format="csr"),
-            sp.hstack(
-                [sp.csr_matrix((An.shape[0], n_u)), An, sp.csr_matrix((An.shape[0], 1 + n_x))],
-                format="csr",
-            ),
+            [sp.csr_matrix(dyn.B @ Gu), sp.csr_matrix(-Gn),
+             sp.csr_matrix(dyn.A[:, -1:]), sp.csr_matrix(dyn.A[:, :-1])],
+            [Au, None, None, None],
+            [None, An, None, None],
         ],
         format="csr",
     )
     f = np.concatenate([cn - dyn.d - dyn.B @ cu, bu, bn])
-    lb = np.concatenate([-np.ones(n_u + n_n), np.full(1 + n_x, -np.inf)])
-    ub = np.concatenate([np.ones(n_u + n_n), np.full(1 + n_x, np.inf)])
-    prob = LinearProgram(c_obj, E, f, lb=lb, ub=ub)
-    # settles the control set's basis; a cache hit for every set that
-    # landing.build_control_set made
+    lb = np.concatenate([-np.ones(n_lat), np.full(STATE_DIM, -np.inf)])
+    ub = np.concatenate([np.ones(n_lat), np.full(STATE_DIM, np.inf)])
+    c_obj = np.zeros(n_lat + STATE_DIM)
+    c_obj[n_lat] = 1.0
+    # settles both sets' bases; a memo hit for every set that the tube
+    # recursions, a tube file or landing.build_control_set made
     control_set.is_empty()
-    return _OneStepModel(control_set, dyn, prob)
+    cs_next.is_empty()
+    b_u, b_next = control_set.basis(), cs_next.basis()
+    basis = None if b_u is None or b_next is None else LpBasis(
+        b_u.cols + b_next.cols + (BASIC,) * STATE_DIM,
+        (NONBASIC,) * STATE_DIM + b_u.rows + b_next.rows,
+    )
+    return _OneStepModel(control_set, dyn, LinearProgram(c_obj, E, f, lb=lb, ub=ub), basis)
 
 
 def one_step_ocp(
@@ -219,13 +210,14 @@ def one_step_ocp(
 
     Variables are the control-set latents, the next-set latents, the
     current cost-to-go c_k and the physical part of the current state,
-    fixed by its bounds (lb = ub = x), so the LP's matrix and objective
-    do not depend on the state; it is built once per (cs_next,
-    control_set, dyn) and memoized on cs_next.  When cs_next and the
-    control set carry their canonical bases, the query warm-starts from
-    a basis assembled from them (``_OneStepModel``): for the landing
-    dynamics an optimal basis of the same LP with the state free, dual
-    feasible for every state.  Returns (control, next_state, c_k).
+    fixed by its bounds (lb = ub = x), so the LP's rows and objective
+    do not depend on the state; they are built once per (cs_next,
+    control_set, dyn), memoized on cs_next, and a query changes only
+    the state's bounds.  When cs_next and the control set carry their
+    canonical bases, the query warm-starts from a basis assembled from
+    them (``_OneStepModel``): for the landing dynamics an optimal basis
+    of the same LP with the state free, dual feasible for every state.
+    Returns (control, next_state, c_k).
     """
     x_k = np.asarray(x_k, dtype=float).ravel()
     x_phys = x_k[: STATE_DIM - 1]
@@ -233,27 +225,39 @@ def one_step_ocp(
         ("one_step", id(control_set), id(dyn)),
         lambda: _one_step_model(cs_next, control_set, dyn),
     )
-    canon = model.prob
-    n_u = control_set.n_generators
-    i_c = canon.n_vars - STATE_DIM
-    lb = canon.lb.copy()
-    ub = canon.ub.copy()
-    lb[i_c + 1 :] = ub[i_c + 1 :] = x_phys
-    prob = LinearProgram(canon.c_obj, canon.E, canon.f, lb=lb, ub=ub)
-    sol = solve_lp(prob, basis=model.basis(cs_next))
+    prob = copy.copy(model.prob)
+    prob.lb, prob.ub = prob.lb.copy(), prob.ub.copy()
+    prob.lb[1 - STATE_DIM :] = prob.ub[1 - STATE_DIM :] = x_phys
+    sol = solve_lp(prob, basis=model.basis)
     if sol.status == LpStatus.INFEASIBLE:
         raise InfeasibleError("one-step control problem is infeasible from this state")
     if sol.status != LpStatus.OPTIMAL:
         raise LpError(f"one-step control LP ended with status {sol.status}")
-    xi_u = sol.x_opt[:n_u]
-    c_k = float(sol.x_opt[i_c])
-    control = control_set.G @ xi_u + control_set.c
-    state = np.concatenate([x_phys, [c_k]])
-    next_state = dyn.step(state, control)
+    c_k = float(sol.x_opt[-STATE_DIM])
+    control = control_set.G @ sol.x_opt[: control_set.n_generators] + control_set.c
+    next_state = dyn.step(np.concatenate([x_phys, [c_k]]), control)
     return control, next_state, c_k
 
 
 # -- forward rollout -------------------------------------------------------
+
+
+def _step(state, k, target, control_set, dyn, records) -> np.ndarray:
+    """One closed-loop step at index k from the augmented state into
+    target: writes the step's cost-to-go into state, records the step,
+    and returns the next state."""
+    control, next_state, c_k = one_step_ocp(state, target, control_set, dyn)
+    state[-1] = c_k
+    records.append(StepRecord(k, state.copy(), control))
+    return next_state
+
+
+def _finish(tube: ControllableTube, hq: HorizonQuery, records, state) -> RolloutLog:
+    """The log of a rollout that started from hq and ended in state,
+    which must lie inside the terminal tube set."""
+    if not tube.cs(tube.N).contains_point(state, tol=START_TOL):
+        raise InfeasibleError("rollout did not end inside the terminal tube set")
+    return RolloutLog(hq.k_star, records, state, hq.c_star)
 
 
 def forward_rollout(
@@ -267,17 +271,9 @@ def forward_rollout(
     hq = optimal_horizon(x_i, tube) if start is None else start
     state = np.concatenate([np.asarray(x_i, dtype=float).ravel(), [hq.c_star]])
     records = []
-    total_cost = hq.c_star
     for k in range(hq.k_star, tube.N):
-        control, next_state, c_k = one_step_ocp(state, tube.cs(k + 1), control_set, dyn)
-        state[-1] = c_k
-        records.append(StepRecord(k, state.copy(), control))
-        if k == hq.k_star:
-            total_cost = c_k
-        state = next_state
-    if not tube.cs(tube.N).contains_point(state, tol=START_TOL):
-        raise InfeasibleError("rollout did not end inside the terminal tube set")
-    return RolloutLog(hq.k_star, records, state, total_cost)
+        state = _step(state, k, tube.cs(k + 1), control_set, dyn, records)
+    return _finish(tube, hq, records, state)
 
 
 # -- full-horizon oracle ---------------------------------------------------
@@ -412,12 +408,6 @@ def instantaneous_reachable(
 # -- decision-deferral rollout --------------------------------------------
 
 
-def _embed_offset(offset3) -> np.ndarray:
-    delta = np.zeros(STATE_DIM)
-    delta[0:3] = np.asarray(offset3, dtype=float).ravel()
-    return delta
-
-
 def effective_tube_set(tube: ControllableTube, k: int, delta: np.ndarray) -> ConstrainedZonotope:
     """CS_k intersected with its backup-site translation."""
     cs = tube.cs(k)
@@ -445,7 +435,8 @@ def ddto_rollout(
     path constraints.
     """
     x_i = np.asarray(x_i, dtype=float).ravel()
-    delta = _embed_offset(backup_offset)
+    delta = np.zeros(STATE_DIM)
+    delta[:3] = np.asarray(backup_offset, dtype=float).ravel()
     # made once per call, and settled only where a deferred step checks
     # its target's emptiness.  Each starts from CS_k's stored basis taken
     # twice with the coupling rows basic, dual feasible for the min-cost
@@ -453,40 +444,23 @@ def ddto_rollout(
     # basis for the next step's slice of it.
     eff = [effective_tube_set(tube, k, delta) for k in range(1, tube.N + 1)]
     hq = _horizon_scan(eff, x_i, SLICE_TOL, "initial state is outside the effective tube")
-    k_start, c_star = hq.k_star, hq.c_star
-
-    state = np.concatenate([x_i, [c_star]])
+    state = np.concatenate([x_i, [hq.c_star]])
     records = []
-    total_cost = c_star
-    for k in range(k_start, tube.N):
-        # defer only while the current state is still inside the
-        # intersection (both sites' path constraints hold right now)
-        step_result = None
-        if _min_cost_at_state(eff[k - 1], state[: STATE_DIM - 1]) is not None:
-            target = eff[k]
-            if not target.is_empty():
-                try:
-                    step_result = one_step_ocp(state, target, control_set, dyn)
-                except InfeasibleError:
-                    pass
-        if step_result is None:
-            # intersection died or the deferred step failed: branch once
-            # and finish as a nominal rollout from the best index for
-            # this state
+    for k in range(hq.k_star, tube.N):
+        try:
+            # defer only while the current state is still inside the
+            # intersection (both sites' path constraints hold right now);
+            # an empty next intersection costs no one-step LP
+            if _min_cost_at_state(eff[k - 1], state[: STATE_DIM - 1]) is None or eff[k].is_empty():
+                raise InfeasibleError("the intersection cannot hold the next step")
+            state = _step(state, k, eff[k], control_set, dyn, records)
+        except InfeasibleError:
+            # branch once and finish as a nominal rollout from the best
+            # index for this state
             tail = forward_rollout(state[: STATE_DIM - 1], tube, control_set, dyn)
-            if not records and tail.records:
-                total_cost = tail.total_cost
-            return RolloutLog(k_start, records + tail.records, tail.terminal_state,
-                              total_cost, branch_step=k)
-        control, next_state, c_k = step_result
-        state[-1] = c_k
-        records.append(StepRecord(k, state.copy(), control))
-        if len(records) == 1:
-            total_cost = c_k
-        state = next_state
-    if not tube.cs(tube.N).contains_point(state, tol=START_TOL):
-        raise InfeasibleError("deferred rollout did not end inside the terminal set")
-    return RolloutLog(k_start, records, state, total_cost)
+            return RolloutLog(hq.k_star, records + tail.records, tail.terminal_state,
+                              hq.c_star, branch_step=k)
+    return _finish(tube, hq, records, state)
 
 
 # -- Monte Carlo -----------------------------------------------------------
@@ -548,17 +522,12 @@ def monte_carlo(
     eroded may carry the per-step disturbance-eroded targets captured
     during the tube build (eroded[k] inner-approximates the tube's step
     k+1 set minus the step-k disturbance); missing entries are computed.
-    Every trial steers into every target, so each target is checked for
-    emptiness once before the trials, which leaves its canonical basis
-    if it had none.
     """
     N = tube.N
     eroded = dict(eroded) if eroded else {}
     for k in range(1, N):
         if k not in eroded:
             eroded[k] = tube.cs(k + 1).pontryagin_difference(schedule.outer_zonotopes[k - 1])
-    for target in eroded.values():
-        target.is_empty()
 
     def run_trial(t: int) -> TrialResult:
         rng = np.random.default_rng([master_seed, t])

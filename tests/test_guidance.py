@@ -3,6 +3,7 @@ control, rollouts, reachable sets, deferred decisions, and Monte Carlo."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cztube import czset, guidance, lp
 from cztube.czset import ConstrainedZonotope
@@ -197,6 +198,19 @@ def test_rollout_dynamics_and_cost_telescoping(det_toy):
     assert log.sigma_gap() <= 1e-6
 
 
+def test_total_cost_is_the_first_steps_cost_to_go(det_toy):
+    # the first record's c_k, or the scan's c* for a start already in CS_N
+    scn, dyn, X, U, Xf, tube = det_toy
+    log = forward_rollout(scn.initial_state(), tube, U, dyn)
+    assert log.records and log.total_cost == log.records[0].state[-1]
+    hq = optimal_horizon(log.terminal_state[:7], tube)
+    assert hq.k_star == tube.N
+    done = forward_rollout(log.terminal_state[:7], tube, U, dyn, start=hq)
+    assert done.records == [] and done.total_cost == hq.c_star
+    deferred = ddto_rollout(scn.initial_state(), tube, np.array([8.0, 0.0, 0.0]), U, dyn)
+    assert deferred.total_cost == deferred.records[0].state[-1]
+
+
 def test_rollout_matches_full_horizon_oracle(det_toy):
     scn, dyn, X, U, Xf, tube = det_toy
     hq = optimal_horizon(scn.initial_state(), tube)
@@ -249,14 +263,64 @@ def test_one_step_basis_is_optimal_for_the_state_free_lp(det_toy):
     scn, dyn, X, U, Xf, tube = det_toy
     for k in range(2, tube.N + 1):
         model = guidance._one_step_model(tube.cs(k), U, dyn)
-        basis = model.basis(tube.cs(k))
-        assert basis is not None
-        warm = lp.linprog(model.prob, "highs", basis)
+        assert model.basis is not None
+        warm = lp.linprog(model.prob, "highs", model.basis)
         cold = lp.linprog(model.prob)
         assert warm.status == cold.status == lp.highs.HighsModelStatus.kOptimal
         assert warm.nit == 0
         c = model.prob.c_obj
         assert abs(c @ warm.x - c @ cold.x) <= 1e-9 * max(1.0, abs(c @ cold.x))
+
+
+def _stacked_one_step_program(cs_next, control_set, dyn):
+    """The one-step LP and start as assembled with hstack/vstack, the
+    reference for the block assembly; the start reads the bases the sets
+    carry now, so call it after the model has settled them."""
+    Gu, cu, Au, bu = control_set.G, control_set.c, control_set.A, control_set.b
+    Gn, cn, An, bn = cs_next.G, cs_next.c, cs_next.A, cs_next.b
+    n_u, n_n, n_x = Gu.shape[1], Gn.shape[1], 7
+    nv = n_u + n_n + 1 + n_x
+    c_obj = np.zeros(nv)
+    c_obj[n_u + n_n] = 1.0
+    lhs = sp.hstack([sp.csr_matrix(dyn.B @ Gu), sp.csr_matrix(-Gn),
+                     sp.csr_matrix(dyn.A[:, -1][:, None]), sp.csr_matrix(dyn.A[:, :n_x])],
+                    format="csr")
+    E = sp.vstack([
+        lhs,
+        sp.hstack([Au, sp.csr_matrix((Au.shape[0], n_n + 1 + n_x))], format="csr"),
+        sp.hstack([sp.csr_matrix((An.shape[0], n_u)), An, sp.csr_matrix((An.shape[0], 1 + n_x))],
+                  format="csr"),
+    ], format="csr")
+    f = np.concatenate([cn - dyn.d - dyn.B @ cu, bu, bn])
+    lb = np.concatenate([-np.ones(n_u + n_n), np.full(1 + n_x, -np.inf)])
+    ub = np.concatenate([np.ones(n_u + n_n), np.full(1 + n_x, np.inf)])
+    b_next, b_u = cs_next.basis(), control_set.basis()
+    start = None if b_next is None or b_u is None else lp.LpBasis(
+        b_u.cols + b_next.cols + (lp.BASIC,) * 8, (lp.NONBASIC,) * 8 + b_u.rows + b_next.rows)
+    return lp.LinearProgram(c_obj, E, f, lb=lb, ub=ub), start
+
+
+def test_one_step_program_matches_the_stacked_assembly(det_toy):
+    # the block-assembled program and its start are bitwise the stacked
+    # ones, also into a next set with no generators or with no rows
+    scn, dyn, X, U, Xf, tube = det_toy
+    point = ConstrainedZonotope(np.zeros((8, 0)), np.arange(8.0))
+    cases = [(tube.cs(k), U, dyn) for k in range(2, tube.N + 1)]
+    cases += [(point, U, dyn), (box8([1.0] * 8), U, dyn)]
+    shift_U = ConstrainedZonotope(np.array([[1.0]]), np.array([0.0]))
+    cases += [(point, shift_U, toy_shift_dyn()), (box8([2.0] * 8), shift_U, toy_shift_dyn())]
+    for cs_next, control_set, d in cases:
+        model = guidance._one_step_model(cs_next, control_set, d)
+        ref, start = _stacked_one_step_program(cs_next, control_set, d)
+        got = model.prob
+        for a, b in ((got.E.indptr, ref.E.indptr), (got.E.indices, ref.E.indices),
+                     (got.E.data, ref.E.data),
+                     (got.f, ref.f), (got.lb, ref.lb), (got.ub, ref.ub),
+                     (got.c_obj, ref.c_obj), (got.row_scale, ref.row_scale)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert model.basis == start
+    assert guidance._one_step_model(point, U, dyn).basis is None
+    assert guidance._one_step_model(box8([1.0] * 8), U, dyn).basis is not None
 
 
 def test_one_step_start_under_cost_coupled_dynamics(det_toy, monkeypatch):
@@ -577,6 +641,13 @@ def test_ddto_runs_cold_only_its_containment_lps(det_toy, monkeypatch, offset):
     assert [contained for warm, contained in runs if not warm] == [True]
 
 
+def test_ddto_rejects_a_start_that_is_not_the_physical_state(det_toy):
+    scn, dyn, X, U, Xf, tube = det_toy
+    start = np.concatenate([scn.initial_state(), [0.0]])
+    with pytest.raises(ValueError, match="7-dim physical state"):
+        ddto_rollout(start, tube, np.array([8.0, 0.0, 0.0]), U, dyn)
+
+
 def test_ddto_unreachable_backup_rejected(det_toy):
     scn, dyn, X, U, Xf, tube = det_toy
     with pytest.raises(NoContainmentError):
@@ -658,6 +729,30 @@ def test_monte_carlo_without_targets_erodes_like_the_build(robust_toy):
         assert ra.success == rb.success
         assert np.array_equal(ra.terminal_state, rb.terminal_state)
         assert ra.fuel_kg == rb.fuel_kg
+
+
+def test_monte_carlo_settles_fresh_targets_once(robust_toy, monkeypatch):
+    # unsettled copies of the eroded targets give the trials of the
+    # settled ones; each is settled once, by the first trial to reach it
+    scn, dyn, model, sched, U_rob, Tf, tube, sink = robust_toy
+    monkeypatch.setenv("CZTUBE_THREADS", "2")
+    settled = monte_carlo(scn, tube, model, sched, U_rob, Tf, dyn, trials=4, master_seed=11,
+                          eroded=sink)
+    fresh = {k: ConstrainedZonotope(Z.G, Z.c, Z.A, Z.b) for k, Z in sink.items()}
+    calls = []
+    settle = ConstrainedZonotope._settle_emptiness
+
+    def spy(self):
+        calls.append(id(self))
+        return settle(self)
+
+    monkeypatch.setattr(ConstrainedZonotope, "_settle_emptiness", spy)
+    mc = monte_carlo(scn, tube, model, sched, U_rob, Tf, dyn, trials=4, master_seed=11,
+                     eroded=fresh)
+    assert sorted(calls) == sorted(id(Z) for Z in fresh.values())
+    for ra, rb in zip(settled.results, mc.results):
+        assert (ra.success, ra.fuel_kg, ra.failure_step) == (rb.success, rb.fuel_kg, rb.failure_step)
+        assert np.array_equal(ra.terminal_state, rb.terminal_state)
 
 
 def test_monte_carlo_runs_without_an_execution_noise_channel(robust_toy):
