@@ -24,11 +24,18 @@ scan's and the divert footprint's slices, the decision-deferral
 intersections), and the one-step LP starts from the next tube set's and
 the control set's bases joined (``guidance._OneStepModel``).  A query
 only reads these bases and never takes one from an earlier query, so no
-answer depends on the order of the queries before it.
+verdict depends on the order of the queries before it.  Neither does a
+value, with one exception: a set's support LPs are copies of one program
+(``_support_lp``), and the LP layer runs a thread's consecutive ones on
+one HiGHS model (``lp.linprog``), whose column scaling comes from the
+first costs it ran.  So within one set's support queries an answer may
+differ from a fresh solve from the same start by rounding, never in its
+status; every other LP builds its own model.
 """
 
 from __future__ import annotations
 
+import copy
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -364,8 +371,17 @@ class ConstrainedZonotope:
         return False, sol.basis
 
     def _support_lp(self, eta) -> LinearProgram:
+        """The support LP in direction eta: a copy of the set's one support
+        program, built once, with its own costs.  All copies share the
+        program's rows, so the LP layer runs a thread's consecutive
+        support queries on one set on one HiGHS model (``lp.linprog``)."""
+        prob = copy.copy(self.cached("support_lp", self._support_program))
+        prob.c_obj = -(self.G.T @ eta)
+        return prob
+
+    def _support_program(self) -> LinearProgram:
         ones = np.ones(self.n_generators)
-        return LinearProgram(-(self.G.T @ eta), E=self.A, f=self.b, lb=-ones, ub=ones)
+        return LinearProgram(np.zeros(self.n_generators), E=self.A, f=self.b, lb=-ones, ub=ones)
 
     def basis(self) -> Optional[LpBasis]:
         """The set's canonical basis: the optimal basis of the LP that

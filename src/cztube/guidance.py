@@ -435,8 +435,11 @@ def ddto_rollout(
     path constraints.
     """
     x_i = np.asarray(x_i, dtype=float).ravel()
+    offset = np.asarray(backup_offset, dtype=float).ravel()
+    if offset.size != 3:
+        raise ValueError("backup offset must have 3 entries (a position offset)")
     delta = np.zeros(STATE_DIM)
-    delta[:3] = np.asarray(backup_offset, dtype=float).ravel()
+    delta[:3] = offset
     # made once per call, and settled only where a deferred step checks
     # its target's emptiness.  Each starts from CS_k's stored basis taken
     # twice with the coupling rows basic, dual feasible for the min-cost

@@ -32,10 +32,19 @@ in ``cztube.czset``.  The checks above apply unchanged to a warm run,
 and its retry runs cold.  HiGHS picks the simplex variant of a warm run
 from the start it is given: primal simplex from a primal feasible
 basis, dual simplex otherwise.  Cold runs use dual simplex.
+
+Each thread holds the HiGHS model of its last simplex run on rows that
+the LP before it had too, and its next LP runs on that model when it
+differs only in its costs (see ``linprog``): a set's support LPs,
+copies of one program, do.  The
+model keeps the column scaling HiGHS chose for the first costs it ran,
+so such a run may take another simplex path than a fresh model and
+differ from it by rounding; its verdict is checked as above.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -322,6 +331,52 @@ class HighsRun:
     basis: Optional[object] = None
 
 
+# Per thread: ``model``, the held model of the last simplex run, and
+# ``rows``, the ids of the last LP's rows (see ``linprog``)
+_HELD = threading.local()
+
+
+@dataclass
+class _HeldModel:
+    """A HiGHS model after its run, with what it was built from: the rows
+    (held, so that no other program can take their ids), copies of the
+    column bounds, and the options."""
+
+    solver: object
+    A: sp.csr_matrix
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    options: dict
+
+    def serves(self, prob: LinearProgram, options: dict) -> bool:
+        """True iff prob differs from the held model only in its costs."""
+        return (self.A is prob.A and self.row_lo is prob.row_lo and self.row_hi is prob.row_hi
+                and self.options == options
+                and np.array_equal(self.lb, prob.lb) and np.array_equal(self.ub, prob.ub))
+
+
+def _fresh_model(prob: LinearProgram, options: dict):
+    """A new HiGHS model of prob with the options set; None if HiGHS
+    rejects the model."""
+    A = prob.A
+    solver = highs._Highs()
+    for key, value in options.items():
+        if solver.setOptionValue(key, value) != highs.HighsStatus.kOk:
+            raise ValueError(f"HiGHS rejected option {key}={value!r}")
+    # the array overload of passModel takes the numpy buffers as they
+    # are; filling a HighsLp field by field copies them element by element.
+    # The rows go in row-wise and HiGHS makes its column-wise copy in C++.
+    passed = solver.passModel(
+        prob.n_vars, A.shape[0], A.nnz, _ROWWISE, _MINIMIZE, 0.0,
+        prob.c_obj, prob.lb, prob.ub, prob.row_lo, prob.row_hi,
+        A.indptr.astype(np.int32, copy=False), A.indices.astype(np.int32, copy=False), A.data,
+        np.zeros(prob.n_vars, dtype=np.int32),  # every column continuous
+    )
+    return None if passed == highs.HighsStatus.kError else solver
+
+
 def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis] = None) -> HighsRun:
     """One HiGHS run on prob; the only place the solver is called.
 
@@ -336,29 +391,40 @@ def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis]
     at their defaults); it ignores ``basis`` and yields no ray.  No run
     reads duals.  The name is the one the benchmark's tracer
     (bench/tracing.py) times as the backend call.
+
+    Each thread holds the model of its last simplex run when that run's
+    LP had the rows of the thread's LP before it, so only a run of LPs
+    on one set of rows keeps a model; the held model's rows stay alive
+    with it.  The next LP of the thread runs on the held model when it
+    differs only in its costs: the same ``A``, ``row_lo`` and ``row_hi``
+    objects, equal column bounds, and the same method and options (so a
+    warm and a cold run never share a model).  That LP gets its costs
+    (``changeColsCost``), the solver state is cleared (``clearSolver``),
+    the start is set when warm, and it runs; no model is made, given
+    options or passed the rows.  Only LPs made as copies of one program
+    with their own ``c_obj`` share rows, such as a set's support LPs
+    (``cztube.czset``).  Any other LP drops the held model before it
+    builds its own, and an IPM model is never held.
     """
     A = prob.A
     simplex = method != "highs-ipm"
     warm = basis is not None and simplex
+    if warm and (len(basis.cols) != prob.n_vars or len(basis.rows) != A.shape[0]):
+        raise ValueError("starting basis does not match the program's shape")
     options = {**_COMMON_OPTIONS, **_METHODS[method], **(_WARM_OPTIONS if warm else {})}
-    solver = highs._Highs()
-    for key, value in options.items():
-        if solver.setOptionValue(key, value) != highs.HighsStatus.kOk:
-            raise ValueError(f"HiGHS rejected option {key}={value!r}")
-    # the array overload of passModel takes the numpy buffers as they
-    # are; filling a HighsLp field by field copies them element by element.
-    # The rows go in row-wise and HiGHS makes its column-wise copy in C++.
-    passed = solver.passModel(
-        prob.n_vars, A.shape[0], A.nnz, _ROWWISE, _MINIMIZE, 0.0,
-        prob.c_obj, prob.lb, prob.ub, prob.row_lo, prob.row_hi,
-        A.indptr.astype(np.int32, copy=False), A.indices.astype(np.int32, copy=False), A.data,
-        np.zeros(prob.n_vars, dtype=np.int32),  # every column continuous
-    )
-    if passed == highs.HighsStatus.kError:
-        return HighsRun(highs.HighsModelStatus.kModelError, 0)
+    held = getattr(_HELD, "model", None)
+    if held is not None and held.serves(prob, options):
+        solver = held.solver
+        solver.changeColsCost(prob.n_vars, np.arange(prob.n_vars, dtype=np.int32), prob.c_obj)
+        solver.clearSolver()
+    else:
+        # freed before the next model is built, so that a thread never
+        # holds two
+        _HELD.model = held = None
+        solver = _fresh_model(prob, options)
+        if solver is None:
+            return HighsRun(highs.HighsModelStatus.kModelError, 0)
     if warm:
-        if len(basis.cols) != prob.n_vars or len(basis.rows) != A.shape[0]:
-            raise ValueError("starting basis does not match the program's shape")
         start = highs.HighsBasis()
         start.col_status = list(basis.cols)
         start.row_status = list(basis.rows)
@@ -379,6 +445,12 @@ def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis]
         _, has_ray, ray = solver.getDualRay()
         if has_ray:
             run.ray = np.array(ray, dtype=float)
+    # ids suffice here: a false match only holds a model that no LP uses
+    rows = (id(A), id(prob.row_lo), id(prob.row_hi))
+    if simplex and held is None and getattr(_HELD, "rows", None) == rows:
+        _HELD.model = _HeldModel(solver, A, prob.row_lo, prob.row_hi,
+                                 prob.lb.copy(), prob.ub.copy(), options)
+    _HELD.rows = rows
     return run
 
 

@@ -432,6 +432,108 @@ def test_slice_support_is_independent_of_query_history():
     assert np.array_equal(after_a, alone)
 
 
+def _spy_builds(monkeypatch):
+    """A list that records every HiGHS model the LP layer builds."""
+    builds = []
+    build = lp._fresh_model
+
+    def spy(prob, options):
+        builds.append(prob)
+        return build(prob, options)
+
+    monkeypatch.setattr(lp, "_fresh_model", spy)
+    return builds
+
+
+def _fresh_support(z, eta):
+    """z's support in direction eta from a program of its own, so that
+    the LP layer builds a new model for it."""
+    ones = np.ones(z.n_generators)
+    prob = lp.LinearProgram(-(z.G.T @ eta), E=z.A, f=z.b, lb=-ones, ub=ones)
+    return lp.solve_lp(prob, basis=z._start)
+
+
+def test_support_family_runs_on_one_model_and_matches_fresh_solves(monkeypatch):
+    # a set's support queries share one program; the thread's model of
+    # the first serves the rest, and every answer has the status of a
+    # fresh solve from the same start and its value within rounding
+    builds = _spy_builds(monkeypatch)
+    rng = np.random.default_rng(35)
+    for _ in range(6):
+        z = _with_basis(random_cz(rng, dim=4, n_g=12, n_e=3))
+        inside = (z.extreme_point(rng.normal(size=4)) + z.extreme_point(rng.normal(size=4))) / 2
+        for Z in (z, z.slice([2, 3], inside[[2, 3]], tol=1e-6)):
+            etas = rng.normal(size=(16, 4))
+            del builds[:]
+            family = [Z._support_solution(eta)[1] for eta in etas]
+            # the first two queries build models, and the second is held;
+            # none when the model of the queries that found inside serves
+            assert len(builds) <= 2
+            for eta, sol in zip(etas, family):
+                fresh = _fresh_support(Z, eta)
+                assert sol.status == fresh.status == LpStatus.OPTIMAL
+                scale = max(1.0, abs(fresh.objective_value))
+                assert abs(sol.objective_value - fresh.objective_value) <= 1e-9 * scale
+
+
+def test_support_family_on_an_empty_set_raises_through_a_certified_ray(monkeypatch):
+    # a slice outside a rotated square that no single pin row rules out:
+    # every query on one model still ends in EmptySetError, each through
+    # a Farkas ray that the check accepts
+    builds = _spy_builds(monkeypatch)
+    certified = []
+    check = lp.farkas_certifies
+
+    def spy(prob, ray):
+        certified.append(check(prob, ray))
+        return certified[-1]
+
+    monkeypatch.setattr(lp, "farkas_certifies", spy)
+    outside = rotated_square().slice([0, 1], [1.2, 1.2])
+    assert not lp.single_row_certifies(outside._support_lp(np.ones(2)))
+    for eta in np.random.default_rng(36).normal(size=(8, 2)):
+        with pytest.raises(EmptySetError):
+            outside.support(eta)
+    assert len(builds) == 2
+    assert certified == [True] * 8
+
+
+def test_two_threads_querying_one_set_get_the_serial_answers():
+    # each thread holds its own model, so two threads that query one set
+    # in the same order get the points of one thread querying an equal set
+    rng = np.random.default_rng(37)
+    z = _with_basis(random_cz(rng, dim=4, n_g=40, n_e=6))
+    inside = (z.extreme_point(rng.normal(size=4)) + z.extreme_point(rng.normal(size=4))) / 2
+    etas = rng.normal(size=(40, 4))
+
+    def footprint():
+        return z.slice([2, 3], inside[[2, 3]], tol=1e-6)
+
+    alone = footprint()
+    serial = np.array([alone.extreme_point(eta) for eta in etas])
+    shared = footprint()
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def worker(i):
+        start.wait(timeout=10)
+        results[i] = np.array([shared.extreme_point(eta) for eta in etas])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for points in results:
+        assert np.array_equal(points, serial)
+
+
 def test_image_support_warm_matches_cold(monkeypatch):
     # projections and affine images of a slice warm-start every support
     # LP from the basis of the LP that settled the slice's emptiness;

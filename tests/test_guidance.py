@@ -648,10 +648,42 @@ def test_ddto_rejects_a_start_that_is_not_the_physical_state(det_toy):
         ddto_rollout(start, tube, np.array([8.0, 0.0, 0.0]), U, dyn)
 
 
+@pytest.mark.parametrize("offset", [[5.0], [5.0, 0.0], [5.0, 0.0, 0.0, 0.0]])
+def test_ddto_rejects_an_offset_without_3_entries(det_toy, offset):
+    scn, dyn, X, U, Xf, tube = det_toy
+    with pytest.raises(ValueError, match="3 entries"):
+        ddto_rollout(scn.initial_state(), tube, offset, U, dyn)
+
+
 def test_ddto_unreachable_backup_rejected(det_toy):
     scn, dyn, X, U, Xf, tube = det_toy
     with pytest.raises(NoContainmentError):
         ddto_rollout(scn.initial_state(), tube, np.array([1e6, 0.0, 0.0]), U, dyn)
+
+
+def test_rollout_lps_each_build_their_own_model(det_toy, monkeypatch):
+    # the scan's slice LPs, the one-step LPs and the final containment LP
+    # each change rows or column bounds, so none runs on the model that
+    # the LP before it left
+    scn, dyn, X, U, Xf, tube = det_toy
+    runs, builds = [], []
+    backend, build = lp.linprog, lp._fresh_model
+
+    def run_spy(prob, method="highs", basis=None):
+        runs.append(prob.n_vars)
+        return backend(prob, method, basis)
+
+    def build_spy(prob, options):
+        builds.append(prob.n_vars)
+        return build(prob, options)
+
+    monkeypatch.setattr(lp, "linprog", run_spy)
+    monkeypatch.setattr(lp, "_fresh_model", build_spy)
+    log = forward_rollout(scn.initial_state(), tube, U, dyn)
+    # the scan's N slices, one LP per step, and the containment LP last
+    assert log.records and len(runs) >= tube.N + len(log.records) + 1
+    assert runs[-1] == tube.cs(tube.N).n_generators + 1
+    assert builds == runs
 
 
 # -- Monte Carlo -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the linear-program layer."""
 
+import copy
 from pathlib import Path
 
 import numpy as np
@@ -536,6 +537,70 @@ def test_failure_with_a_basis_is_retried_cold(monkeypatch):
     sol = solve_lp(at(f), basis=basis)
     assert sol.status == LpStatus.OPTIMAL
     assert calls == [("highs", basis), ("highs-ipm", None)]
+
+
+def test_held_model_serves_only_the_same_rows_bounds_and_options(monkeypatch):
+    # a model is held from the second LP on one set of rows, and serves
+    # only a copy of that program with its own costs, run by the same
+    # method with the same options; every other LP builds its own model
+    builds = []
+    build = lp._fresh_model
+
+    def spy(prob, options):
+        builds.append(prob)
+        return build(prob, options)
+
+    monkeypatch.setattr(lp, "_fresh_model", spy)
+    rng = np.random.default_rng(28)
+    prob = _random_feasible_lp(rng, n=20, m_eq=4, m_ub=6)
+    basis = solve_lp(prob).basis
+
+    def with_costs(c):
+        out = copy.copy(prob)
+        out.c_obj = c
+        return out
+
+    def with_lower_bound(lb):
+        out = copy.copy(prob)
+        out.lb = lb
+        return out
+
+    same_values = LinearProgram(prob.c_obj, prob.E, prob.f, prob.H, prob.g, prob.lb, prob.ub)
+    steps = [
+        (lambda: lp.linprog(prob), 1),  # the rows of the LP before: held
+        (lambda: lp.linprog(with_costs(rng.normal(size=20))), 0),
+        (lambda: lp.linprog(with_costs(rng.normal(size=20))), 0),
+        (lambda: lp.linprog(prob, "highs", basis), 1),  # other options
+        (lambda: lp.linprog(prob), 1),
+        (lambda: lp.linprog(with_lower_bound(prob.lb.copy())), 0),  # equal bounds
+        (lambda: lp.linprog(with_lower_bound(prob.lb / 2)), 1),
+        (lambda: lp.linprog(same_values), 1),  # equal rows, other objects
+        (lambda: lp.linprog(prob, "highs-ipm"), 1),
+        (lambda: lp.linprog(prob, "highs-ipm"), 1),
+        (lambda: lp.linprog(prob, "highs-ipm"), 1),  # an IPM model is never held
+        (lambda: lp.linprog(prob), 1),
+        (lambda: lp.linprog(prob), 0),
+    ]
+    for i, (run, built) in enumerate(steps):
+        del builds[:]
+        assert run().status == lp.highs.HighsModelStatus.kOptimal
+        assert len(builds) == built, i
+
+
+def test_rerun_on_a_held_model_repeats_a_fresh_run():
+    # the same program run again, cold and warm: from the third run on
+    # the held model serves, and the cleared solver takes the fresh
+    # model's path to the same point
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        prob = _random_feasible_lp(rng, n=20, m_eq=4, m_ub=6)
+        slack = LpBasis((lp.NONBASIC,) * prob.n_vars, (BASIC,) * prob.A.shape[0])
+        for basis in (None, slack):
+            runs = [lp.linprog(prob, "highs", basis) for _ in range(4)]
+            assert runs[0].nit > 0
+            for run in runs[1:]:
+                assert run.nit == runs[0].nit
+                assert np.array_equal(run.x, runs[0].x)
 
 
 def test_program_with_one_block_of_rows_holds_that_block():

@@ -1,5 +1,6 @@
-"""Dead-code guard over the package sources: no import goes unused and no
-module-level private function or class goes unreferenced."""
+"""Guards over the package sources: no import goes unused, no
+module-level private function or class goes unreferenced, and only
+``cztube.lp`` makes HiGHS models."""
 
 import ast
 from pathlib import Path
@@ -68,3 +69,9 @@ def test_every_private_definition_is_referenced():
                 unreferenced.append(f"{name}: {node.name}")
     assert unreferenced == []
 
+
+def test_only_the_lp_module_builds_solver_models():
+    # one backend: HiGHS models are made and filled in cztube.lp alone
+    solver_calls = {"_Highs", "passModel"}
+    holders = {name for name, tree in _modules().items() if solver_calls & _references(tree)}
+    assert holders == {"lp.py"}
