@@ -205,6 +205,8 @@ def _step_printer(label):
 
 
 def cmd_build_tube(args) -> int:
+    if args.max_n < 1:
+        raise ConfigError(f"--max-n must be at least 1, not {args.max_n}")
     cfg = read_config(args.config)
     scn = scenario_from_config(cfg)
     if args.robust and "uncertainty.lambda" not in cfg:
@@ -243,14 +245,15 @@ def cmd_build_tube(args) -> int:
 
 
 def _trajectory_rows(scn, log):
+    """One TRAJ_HEADER row per step, then the terminal one.  t counts rows:
+    a rollout that branches may re-enter the tube at an index it passed."""
     rows = []
-    for rec in log.records:
-        s, u = rec.state, rec.control
-        rows.append([rec.k, (rec.k - log.start_index) * scn.dt] + [float(v) for v in s]
-                    + [float(v) for v in u])
-    s = log.terminal_state
-    rows.append([len(log.records) + log.start_index,
-                 len(log.records) * scn.dt] + [float(v) for v in s] + [None] * 4)
+    for i, rec in enumerate(log.records):
+        rows.append([rec.k, i * scn.dt] + [float(v) for v in rec.state]
+                    + [float(v) for v in rec.control])
+    k_end = log.records[-1].k + 1 if log.records else log.start_index
+    rows.append([k_end, len(log.records) * scn.dt] + [float(v) for v in log.terminal_state]
+                + [None] * 4)
     return rows
 
 

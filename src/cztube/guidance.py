@@ -522,15 +522,20 @@ def monte_carlo(
     workers); each trial's random stream depends only on (master_seed,
     trial index), so results do not depend on the pool size.
 
-    eroded may carry the per-step disturbance-eroded targets captured
-    during the tube build (eroded[k] inner-approximates the tube's step
-    k+1 set minus the step-k disturbance); missing entries are computed.
+    Step k steers into the tube's step-k eroded target
+    (``ControllableTube.eroded``, made offline by ``robust_recursion``),
+    or into eroded[k] when eroded maps each step 1..N-1 to its target.
+    ValueError asking for a rebuild, before any trial, when a target is
+    missing.  ``schedule`` is unused: it and ``eroded`` stay only until
+    the benchmark stops passing them.
     """
     N = tube.N
-    eroded = dict(eroded) if eroded else {}
-    for k in range(1, N):
-        if k not in eroded:
-            eroded[k] = tube.cs(k + 1).pontryagin_difference(schedule.outer_zonotopes[k - 1])
+    if eroded is None:
+        eroded = dict(enumerate(tube.eroded or [], start=1))
+    missing = [k for k in range(1, N) if k not in eroded]
+    if missing:
+        raise ValueError(f"no eroded target for step {missing[0]}; "
+                         "rebuild the tube with `cztube build-tube --robust`")
 
     def run_trial(t: int) -> TrialResult:
         rng = np.random.default_rng([master_seed, t])

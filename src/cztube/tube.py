@@ -10,16 +10,20 @@ step reduces a set's latent equality rows, and the LP layer certifies
 its verdicts on dependent or inconsistent rows (see ``cztube.lp``).
 
 The tube file stores each set's canonical basis (see ``cztube.czset``),
-so a process that loads a tube and lands once starts warm.
+so a process that loads a tube and lands once starts warm, and a robust
+tube its eroded targets, so the online side never erodes.
 
-Tube file, format version 3 (all little-endian):
+Tube file, format version 4 (all little-endian):
 
-- ``CZTB``, then ``<IBId`` (version, kind code, N, dt), then the 32-byte
-  scenario digest (``scenario_digest``; the CLI checks it on load);
-- per set CS_1 ... CS_N: ``<IIIQ`` (n, n_g, n_e, nnz of A); G (n x n_g
-  ``<f8``, row-major) and c (n ``<f8``); A in the canonical CSR form
-  every set holds (duplicates summed, no stored zeros, column indices
-  strictly increasing within each row) as ``indptr`` (n_e + 1 ``<i8``),
+- ``CZTB``, then ``<IBIId`` (version, kind code, N, M, dt), then the
+  32-byte scenario digest (``scenario_digest``; the CLI checks it on
+  load).  M is the number of eroded targets: N-1 for a tube from
+  ``robust_recursion``, else 0;
+- the sets CS_1 ... CS_N, then the eroded targets 1 ... M, each as
+  ``<IIIQ`` (n, n_g, n_e, nnz of A); G (n x n_g ``<f8``, row-major) and
+  c (n ``<f8``); A in the canonical CSR form every set holds
+  (duplicates summed, no stored zeros, column indices strictly
+  increasing within each row) as ``indptr`` (n_e + 1 ``<i8``),
   ``indices`` (nnz ``<i4``) and ``data`` (nnz ``<f8``); b (n_e ``<f8``);
   then the basis block: one flag byte, and when it is 1 one uint8 HiGHS
   status code per latent column and per latent row.  The flag is 0 for
@@ -28,7 +32,7 @@ Tube file, format version 3 (all little-endian):
 A is sparse by construction (the block rows of intersections and
 Minkowski sums), about 2% dense on the deterministic landing tube, so
 the N=46 tube takes 22 MB instead of the 441 MB of a dense A.  Only
-version 3 is read; an older file is rejected with a request to rebuild
+version 4 is read; an older file is rejected with a request to rebuild
 it with ``cztube build-tube``.
 """
 
@@ -63,7 +67,7 @@ from .uncertainty import (
 )
 
 TUBE_MAGIC = b"CZTB"
-TUBE_VERSION = 3  # the only version read; older files ask for a rebuild
+TUBE_VERSION = 4  # the only version read; older files ask for a rebuild
 _KINDS = ("deterministic", "robust")
 # backward steps, at dt/PRE_STEPS, that make the terminal set full-dimensional
 PRE_STEPS = 2
@@ -79,12 +83,15 @@ class RobustInfeasibleError(Exception):
 
 @dataclass
 class ControllableTube:
-    """Sets CS_1 ... CS_N (sets[k-1] is CS_k); CS_N is the terminal set."""
+    """Sets CS_1 ... CS_N (sets[k-1] is CS_k); CS_N is the terminal set.
+    A robust tube may carry its eroded targets: eroded[k-1] is CS_{k+1}
+    minus the step-k disturbance, for k = 1 ... N-1."""
 
     sets: List[ConstrainedZonotope]
     dt: float
     kind: str
     scenario_hash: bytes = b"\x00" * 32
+    eroded: Optional[List[ConstrainedZonotope]] = None
 
     def __post_init__(self):
         if not self.sets:
@@ -93,6 +100,8 @@ class ControllableTube:
             raise ValueError(f"tube kind must be one of {_KINDS}")
         if len(self.scenario_hash) != 32:
             raise ValueError("scenario hash must be 32 bytes")
+        if self.eroded is not None and (self.kind != "robust" or len(self.eroded) != self.N - 1):
+            raise ValueError("only a robust tube carries eroded targets, one per step 1..N-1")
 
     @property
     def N(self) -> int:
@@ -174,23 +183,23 @@ def robust_recursion(
 ) -> ControllableTube:
     """Fixed-horizon recursion with per-step disturbance erosion.
 
-    When eroded_sink is a dict, the intermediate disturbance-eroded
-    targets are stored into it (eroded_sink[k] is the step k+1 set minus
-    the step-k disturbance) so closed-loop simulation can reuse them.
+    The tube carries the eroded targets (``ControllableTube.eroded``):
+    the step-k target is CS_{k+1} minus the step-k disturbance, the set
+    that closed-loop step k steers into.  When eroded_sink is a dict it
+    also receives them, keyed by step k.
     """
     if N != schedule.N:
         raise ValueError("horizon does not match disturbance schedule length")
     cs = terminal_set_fulldim.pontryagin_difference(schedule.outer_zonotopes[N - 1])
     if cs.is_empty():
         raise RobustInfeasibleError(N)
-    sets = [cs]
+    sets, targets = [cs], []
     for k in range(N - 1, 0, -1):
         t0 = time.perf_counter()
         eroded = sets[-1].pontryagin_difference(schedule.outer_zonotopes[k - 1])
         if eroded.is_empty():
             raise RobustInfeasibleError(k)
-        if eroded_sink is not None:
-            eroded_sink[k] = eroded
+        targets.append(eroded)
         nxt = backward_step(dyn_worst_case, state_set, control_set_robust, eroded)
         if nxt.is_empty():
             raise RobustInfeasibleError(k)
@@ -198,7 +207,10 @@ def robust_recursion(
         if progress is not None:
             progress(k, nxt, time.perf_counter() - t0)
     sets.reverse()
-    return ControllableTube(sets, dyn_worst_case.dt, "robust", scenario_hash)
+    targets.reverse()
+    if eroded_sink is not None:
+        eroded_sink.update(enumerate(targets, start=1))
+    return ControllableTube(sets, dyn_worst_case.dt, "robust", scenario_hash, targets)
 
 
 def make_full_dim_terminal(
@@ -241,10 +253,6 @@ def robust_parts(scn: LandingScenario, model: UncertaintyModel):
 # -- serialization ---------------------------------------------------------
 
 
-def _write_array(fh, arr: np.ndarray, dtype: str = "<f8") -> None:
-    fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-
-
 def _read_exact(fh, size: int) -> bytearray:
     # checked against the file size first, so a corrupt count cannot
     # allocate past the end of the file
@@ -262,7 +270,7 @@ def _read_array(fh, count: int, dtype: str = "<f8") -> np.ndarray:
 
 
 def _read_csr(fh, n_e: int, n_g: int, nnz: int) -> sp.csr_matrix:
-    """The CSR block of a version-3 set, validated as canonical."""
+    """The CSR block of a set, validated as canonical."""
     indptr = _read_array(fh, n_e + 1, "<i8")
     indices = _read_array(fh, nnz, "<i4")
     data = _read_array(fh, nnz)
@@ -282,73 +290,73 @@ def _read_csr(fh, n_e: int, n_g: int, nnz: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(n_e, n_g))
 
 
-def serialize_tube(tube: ControllableTube, path) -> None:
-    """Write the tube in format version 3 (see the module docstring).
+def _write_set(fh, Z: ConstrainedZonotope) -> None:
+    fh.write(struct.pack("<IIIQ", Z.dim, Z.n_generators, Z.n_constraints, Z.A.nnz))
+    for arr, dtype in ((Z.G, "<f8"), (Z.c, "<f8"), (Z.A.indptr, "<i8"),
+                       (Z.A.indices, "<i4"), (Z.A.data, "<f8"), (Z.b, "<f8")):
+        fh.write(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    Z.is_empty()
+    basis = Z.basis()
+    fh.write(b"\x00" if basis is None else b"\x01" + basis.codes().tobytes())
 
-    Each set's A is written as it is held, in canonical CSR form, so a
-    set writes the same bytes as every equal set and as its reload.
-    Each set is followed by its canonical basis (one flag byte,
-    then one HiGHS status code per latent column and per latent row),
-    computed here by the set's emptiness check if it has none yet."""
+
+def _read_set(fh) -> ConstrainedZonotope:
+    n, n_g, n_e, nnz = struct.unpack("<IIIQ", _read_exact(fh, struct.calcsize("<IIIQ")))
+    G = _read_array(fh, n * n_g).reshape(n, n_g)
+    c = _read_array(fh, n)
+    A = _read_csr(fh, n_e, n_g, nnz)
+    b = _read_array(fh, n_e)
+    Z = ConstrainedZonotope(G, c, A, b)
+    flag = _read_exact(fh, 1)
+    if flag == b"\x01":
+        codes = _read_array(fh, n_g + n_e, "u1")
+        try:
+            Z.attach_basis(LpBasis.from_codes(codes, n_g))
+        except ValueError as err:
+            raise ValueError(f"corrupt tube basis: {err}") from None
+    elif flag != b"\x00":
+        raise ValueError("corrupt tube basis flag")
+    return Z
+
+
+def serialize_tube(tube: ControllableTube, path) -> None:
+    """Write the tube in format version 4 (see the module docstring).
+
+    Each set's A, and each eroded target's, is written as it is held, in
+    canonical CSR form, so a set writes the same bytes as every equal set
+    and as its reload.  Each is followed by its canonical basis (one flag
+    byte, then one HiGHS status code per latent column and per latent
+    row), computed here by the set's emptiness check if it has none yet."""
+    targets = tube.eroded or []
     with open(path, "wb") as fh:
         fh.write(TUBE_MAGIC)
-        fh.write(struct.pack("<IBId", TUBE_VERSION, _KINDS.index(tube.kind), tube.N, tube.dt))
+        fh.write(struct.pack("<IBIId", TUBE_VERSION, _KINDS.index(tube.kind), tube.N,
+                             len(targets), tube.dt))
         fh.write(tube.scenario_hash)
-        for Z in tube.sets:
-            n, n_g, n_e = Z.dim, Z.n_generators, Z.n_constraints
-            fh.write(struct.pack("<IIIQ", n, n_g, n_e, Z.A.nnz))
-            _write_array(fh, Z.G)
-            _write_array(fh, Z.c)
-            _write_array(fh, Z.A.indptr, "<i8")
-            _write_array(fh, Z.A.indices, "<i4")
-            _write_array(fh, Z.A.data)
-            _write_array(fh, Z.b)
-            Z.is_empty()
-            basis = Z.basis()
-            fh.write(b"\x00" if basis is None else b"\x01" + basis.codes().tobytes())
+        for Z in tube.sets + targets:
+            _write_set(fh, Z)
 
 
 def deserialize_tube(path) -> ControllableTube:
-    """Load a tube file of format version 3; ValueError names what is
-    wrong with a file that is not a well-formed version-3 tube."""
+    """Load a tube file of format version 4; ValueError names what is
+    wrong with a file that is not a well-formed version-4 tube."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != TUBE_MAGIC:
             raise ValueError("not a tube file (bad magic bytes)")
-        header = fh.read(struct.calcsize("<IBId"))
-        if len(header) != struct.calcsize("<IBId"):
-            raise ValueError("tube file truncated")
-        version, kind_code, N, dt = struct.unpack("<IBId", header)
-        if version in (1, 2):
+        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        if version < TUBE_VERSION:
             raise ValueError(
                 f"tube format version {version} is no longer read; "
                 "rebuild the tube with `cztube build-tube`"
             )
         if version != TUBE_VERSION:
             raise ValueError(f"unsupported tube format version {version}")
+        kind_code, N, M, dt = struct.unpack("<BIId", _read_exact(fh, struct.calcsize("<BIId")))
         if kind_code >= len(_KINDS) or N < 1:
             raise ValueError("corrupt tube header")
-        digest = fh.read(32)
-        if len(digest) != 32:
-            raise ValueError("tube file truncated")
-        sets = []
-        for _ in range(N):
-            n, n_g, n_e, nnz = struct.unpack("<IIIQ", _read_exact(fh, struct.calcsize("<IIIQ")))
-            G = _read_array(fh, n * n_g).reshape(n, n_g)
-            c = _read_array(fh, n)
-            A = _read_csr(fh, n_e, n_g, nnz)
-            b = _read_array(fh, n_e)
-            Z = ConstrainedZonotope(G, c, A, b)
-            flag = _read_exact(fh, 1)
-            if flag == b"\x01":
-                codes = _read_array(fh, n_g + n_e, "u1")
-                try:
-                    Z.attach_basis(LpBasis.from_codes(codes, n_g))
-                except ValueError as err:
-                    raise ValueError(f"corrupt tube basis: {err}") from None
-            elif flag != b"\x00":
-                raise ValueError("corrupt tube basis flag")
-            sets.append(Z)
+        digest = bytes(_read_exact(fh, 32))
+        sets = [_read_set(fh) for _ in range(N + M)]
         if fh.read(1):
             raise ValueError("trailing bytes after tube payload")
-    return ControllableTube(sets, dt, _KINDS[kind_code], digest)
+    return ControllableTube(sets[:N], dt, _KINDS[kind_code], digest, sets[N:] or None)

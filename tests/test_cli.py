@@ -17,6 +17,7 @@ from cztube.cli import (
     EXIT_OK,
     FLOAT_FMT,
     ConfigError,
+    _trajectory_rows,
     main,
     parse_config,
     read_config,
@@ -24,6 +25,7 @@ from cztube.cli import (
     uncertainty_from_config,
 )
 from cztube.cone import CompactQuadraticCone, cqc_inner_approx
+from cztube.czset import ConstrainedZonotope
 from cztube.landing import CONTROL_DIM
 from cztube.tube import deserialize_tube
 
@@ -249,6 +251,20 @@ def test_build_tube_robust_requires_uncertainty(det_cfg, tmp_path, capsys):
     assert "uncertainty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_build_tube_needs_a_set_before_it_builds(max_n, det_cfg, tmp_path, capsys,
+                                                 monkeypatch):
+    builds = []
+    monkeypatch.setattr("cztube.tube.deterministic_recursion",
+                        lambda *args, **kwargs: builds.append(args))
+    code = main(["build-tube", "--config", str(det_cfg), "--max-n", max_n,
+                 "--out", str(tmp_path / "t.cztb")])
+    assert code == EXIT_CONFIG
+    assert "--max-n" in capsys.readouterr().err
+    assert builds == []
+    assert not (tmp_path / "t.cztb").exists()
+
+
 @pytest.mark.parametrize("build", ["det_build", "rob_build"])
 def test_build_tube_reports_each_set_and_the_file_size(build, request):
     built = request.getfixturevalue(build)
@@ -373,6 +389,23 @@ def test_reach_boundary_output(det_cfg, det_tube, tmp_path):
     assert np.all(np.isfinite(pts))
 
 
+def test_montecarlo_runs_no_erosion(rob_cfg, rob_tube, tmp_path, monkeypatch):
+    # the robust tube file carries its eroded targets: the trials steer
+    # into those, and nothing is eroded online
+    erosions = []
+    erode = ConstrainedZonotope.pontryagin_difference
+
+    def spy(self, generators):
+        erosions.append(len(generators))
+        return erode(self, generators)
+
+    monkeypatch.setattr(ConstrainedZonotope, "pontryagin_difference", spy)
+    assert len(deserialize_tube(rob_tube).eroded) == 3
+    assert main(["montecarlo", "--config", str(rob_cfg), "--tube", str(rob_tube),
+                 "--trials", "2", "--out", str(tmp_path / "mc.csv")]) == EXIT_OK
+    assert erosions == []
+
+
 def test_montecarlo_reproducible_and_svg(rob_cfg, rob_tube, tmp_path):
     out1, out2 = tmp_path / "mc1.csv", tmp_path / "mc2.csv"
     svg = tmp_path / "mc.svg"
@@ -400,6 +433,20 @@ def test_ddto_rollout_cli(det_cfg, det_tube, tmp_path, capsys):
     code = main(["rollout", "--config", str(det_cfg), "--tube", str(det_tube),
                  "--ddto", "5,0", "--out", str(out)])
     assert code == EXIT_CONFIG
+
+
+def test_trajectory_rows_count_time_by_row_when_an_index_repeats():
+    # a decision-deferral rollout that branches at step 5 and re-enters
+    # the tube at step 4 lists index 4 twice; time still advances one dt
+    # per row, and the terminal row follows the last record
+    state, control = np.arange(8.0), np.ones(4)
+    ks = [3, 4, 4, 5]
+    log = guidance.RolloutLog(3, [guidance.StepRecord(k, state, control) for k in ks],
+                              np.zeros(8), 0.0, branch_step=5)
+    rows = _trajectory_rows(SimpleNamespace(dt=2.0), log)
+    assert [row[0] for row in rows] == [3, 4, 4, 5, 6]
+    assert [row[1] for row in rows] == [0.0, 2.0, 4.0, 6.0, 8.0]
+    assert rows[-1][-4:] == [None] * 4
 
 
 @pytest.mark.parametrize("line", ["scenario.n_points = 20", "scenario.T_max = 8000",

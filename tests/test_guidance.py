@@ -32,9 +32,11 @@ from cztube.landing import (
 from cztube.lp import FEAS_TOL, LpError, LpSolution, LpStatus
 from cztube.tube import (
     ControllableTube,
+    deserialize_tube,
     deterministic_recursion,
     robust_parts,
     robust_recursion,
+    serialize_tube,
 )
 from cztube.uncertainty import UncertaintyModel, landing_uncertainty_model
 
@@ -749,18 +751,33 @@ def test_monte_carlo_repeatable_and_reuses_eroded(robust_toy):
     assert not np.array_equal(a.results[0].terminal_state, c.results[0].terminal_state)
 
 
-def test_monte_carlo_without_targets_erodes_like_the_build(robust_toy):
-    # the targets monte_carlo erodes itself are the recursion's eroded
-    # targets, so the trials come out bitwise the same
+def test_monte_carlo_on_a_reloaded_tube_steers_into_its_stored_targets(robust_toy, tmp_path):
+    # the tube file carries the eroded targets, so monte_carlo on the
+    # reloaded tube, given no targets, runs the trials of the build's own
     scn, dyn, model, sched, U_rob, Tf, tube, sink = robust_toy
+    path = tmp_path / "rob.cztb"
+    serialize_tube(tube, path)
+    back = deserialize_tube(path)
     a = monte_carlo(
         scn, tube, model, sched, U_rob, Tf, dyn, trials=3, master_seed=11, eroded=sink
     )
-    b = monte_carlo(scn, tube, model, sched, U_rob, Tf, dyn, trials=3, master_seed=11)
+    b = monte_carlo(scn, back, model, sched, U_rob, Tf, dyn, trials=3, master_seed=11)
     for ra, rb in zip(a.results, b.results):
-        assert ra.success == rb.success
+        assert (ra.success, ra.fuel_kg, ra.failure_step) == (rb.success, rb.fuel_kg, rb.failure_step)
         assert np.array_equal(ra.terminal_state, rb.terminal_state)
-        assert ra.fuel_kg == rb.fuel_kg
+
+
+def test_monte_carlo_asks_for_a_rebuild_before_any_lp_without_targets(robust_toy,
+                                                                       monkeypatch):
+    scn, dyn, model, sched, U_rob, Tf, tube, sink = robust_toy
+    bare = ControllableTube(tube.sets, tube.dt, "robust", tube.scenario_hash)
+    lps = []
+    monkeypatch.setattr(lp, "linprog", lambda *args, **kwargs: lps.append(args))
+    for tube_, eroded in ((bare, None), (tube, {1: sink[1]})):
+        with pytest.raises(ValueError, match="rebuild .*build-tube"):
+            monte_carlo(scn, tube_, model, sched, U_rob, Tf, dyn, trials=2, master_seed=11,
+                        eroded=eroded)
+    assert lps == []
 
 
 def test_monte_carlo_settles_fresh_targets_once(robust_toy, monkeypatch):

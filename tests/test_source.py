@@ -1,6 +1,6 @@
 """Guards over the package sources: no import goes unused, no
-module-level private function or class goes unreferenced, and only
-``cztube.lp`` makes HiGHS models."""
+module-level private function or class goes unreferenced, only
+``cztube.lp`` makes HiGHS models, and only ``cztube.tube`` erodes."""
 
 import ast
 from pathlib import Path
@@ -75,3 +75,11 @@ def test_only_the_lp_module_builds_solver_models():
     solver_calls = {"_Highs", "passModel"}
     holders = {name for name, tree in _modules().items() if solver_calls & _references(tree)}
     assert holders == {"lp.py"}
+
+
+def test_only_the_tube_module_erodes():
+    # erosion runs offline, in the robust recursion; the online side
+    # steers into the targets the tube carries (czset defines the method)
+    callers = {name for name, tree in _modules().items()
+               if "pontryagin_difference" in _references(tree)}
+    assert callers == {"tube.py"}

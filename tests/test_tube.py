@@ -154,6 +154,7 @@ def test_scalar_robust_tube_contained_in_shrunk_intervals():
         assert hi[0] >= 0.9 * exact and lo[0] <= -0.9 * exact
     assert set(sink) == set(range(1, N))
     for k, eroded in sink.items():
+        assert eroded is tube.eroded[k - 1]
         lo, hi = eroded.interval_hull()
         nxt_lo, nxt_hi = tube.cs(k + 1).interval_hull()
         assert hi[0] <= nxt_hi[0] - 0.25 + 1e-7
@@ -233,6 +234,16 @@ def test_tube_accessor_bounds():
         ControllableTube([Xf], 1.0, "mystery")
 
 
+def test_only_a_robust_tube_carries_eroded_targets_one_per_step():
+    Xf = interval(-1.0, 1.0)
+    assert ControllableTube([Xf, Xf], 1.0, "robust", eroded=[Xf]).eroded == [Xf]
+    with pytest.raises(ValueError, match="robust"):
+        ControllableTube([Xf, Xf], 1.0, "deterministic", eroded=[Xf])
+    for targets in ([], [Xf, Xf]):
+        with pytest.raises(ValueError, match="1..N-1"):
+            ControllableTube([Xf, Xf], 1.0, "robust", eroded=targets)
+
+
 def test_scenario_digest_sensitivity():
     a = scenario_digest(LandingScenario())
     b = scenario_digest(LandingScenario(dt=4.0))
@@ -251,11 +262,15 @@ def _assert_roundtrip_bitwise(tube, tmp_path):
     back = deserialize_tube(path)
     assert back.kind == tube.kind and back.N == tube.N and back.dt == tube.dt
     assert back.scenario_hash == tube.scenario_hash
-    for Z, W in zip(tube.sets, back.sets):
+    assert (back.eroded is None) == (tube.eroded is None)
+    ours, theirs = tube.sets + (tube.eroded or []), back.sets + (back.eroded or [])
+    assert len(ours) == len(theirs)
+    for Z, W in zip(ours, theirs):
         assert np.array_equal(np.asarray(Z.G, float), np.asarray(W.G, float))
         assert np.array_equal(Z.c, W.c)
         assert np.array_equal(Z.A.toarray(), W.A.toarray())
         assert np.array_equal(Z.b, W.b)
+        assert W.basis() == Z.basis()
     # serializing the reloaded tube reproduces the file byte-for-byte
     path2 = tmp_path / "again.cztb"
     serialize_tube(back, path2)
@@ -269,6 +284,24 @@ def test_serialization_roundtrip_bitwise(tmp_path):
     tube = deterministic_recursion(dyn, X, U, Xf, max_N=4,
                                    scenario_hash=hashlib.sha256(b"toy").digest())
     _assert_roundtrip_bitwise(tube, tmp_path)
+
+
+def test_robust_tube_roundtrip_carries_its_eroded_targets_bitwise(tmp_path):
+    N = 4
+    tube = robust_recursion(toy_integrator(), interval(-10.0, 10.0), interval(-1.0, 1.0),
+                            interval(-1.0, 1.0), toy_schedule(N), N,
+                            scenario_hash=hashlib.sha256(b"robust toy").digest())
+    assert len(tube.eroded) == N - 1
+    assert all(Z.basis() is not None for Z in tube.eroded)
+    _assert_roundtrip_bitwise(tube, tmp_path)
+    # the header counts the targets, and they follow CS_N
+    raw = (tmp_path / "tube.cztb").read_bytes()
+    assert struct.unpack_from("<IBIId", raw, 4) == (4, 1, N, N - 1, 1.0)
+    # a robust tube without its targets writes none and loads without them
+    bare = ControllableTube(tube.sets, tube.dt, "robust", tube.scenario_hash)
+    serialize_tube(bare, tmp_path / "bare.cztb")
+    assert deserialize_tube(tmp_path / "bare.cztb").eroded is None
+    assert (tmp_path / "bare.cztb").stat().st_size < len(raw)
 
 
 def _landing_toy_tube():
@@ -342,7 +375,7 @@ def test_recursion_and_tube_file_carry_the_cost_bases(tmp_path):
     assert [Z.basis() for Z in back.sets] == bases
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_version_1_and_2_tube_files_ask_for_a_rebuild(tmp_path, version):
     # the header alone decides: no set of an older file is read
     raw = b"CZTB" + struct.pack("<IBId", version, 0, 1, 1.0) + b"\x00" * 32
@@ -361,7 +394,7 @@ def _csr_tube_file(tmp_path):
     Z = ConstrainedZonotope(G, np.zeros(1), A, A @ np.array([0.1, 0.2, 0.0, 0.1]))
     path = tmp_path / "t.cztb"
     serialize_tube(ControllableTube([Z], 1.0, "deterministic"), path)
-    nnz_at = 4 + struct.calcsize("<IBId") + 32 + 12
+    nnz_at = 4 + struct.calcsize("<IBIId") + 32 + 12
     indptr_at = nnz_at + 8 + 8 * (4 + 1)
     indices_at = indptr_at + 8 * 4
     data_at = indices_at + 4 * 6
