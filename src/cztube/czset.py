@@ -31,6 +31,16 @@ one HiGHS model (``lp.linprog``), whose column scaling comes from the
 first costs it ran.  So within one set's support queries an answer may
 differ from a fresh solve from the same start by rounding, never in its
 status; every other LP builds its own model.
+
+The work a query does, unlike its answer, depends on the queries before
+it.  A set keeps the certified Farkas ray of each of its slice LPs that
+ended infeasible (``slice_min_cost``, the horizon scan's query), and a
+kept ray that certifies a later slice's program settles that slice as
+empty with no LP.  Such a program has no point that meets its rows
+within ``lp.FEAS_TOL``, so its own LP could not have ended optimal: a
+kept ray never changes a value or a containing index.  Where that LP
+would have failed its checks instead, a kept ray that passes settles
+the slice as empty rather than as a numerical failure.
 """
 
 from __future__ import annotations
@@ -53,6 +63,7 @@ from .lp import (
     LpError,
     LpStatus,
     canonical_csr,
+    farkas_certifies,
     solve_lp,
 )
 
@@ -66,7 +77,13 @@ _MEMO_LOCK = threading.RLock()
 
 
 class EmptySetError(Exception):
-    """A query that requires a nonempty set was made on an empty one."""
+    """A query that requires a nonempty set was made on an empty one.
+    ``ray`` is the Farkas ray that proved the set empty
+    (``lp.LpSolution.ray``), or None."""
+
+    def __init__(self, message: str, ray: Optional[np.ndarray] = None):
+        super().__init__(message)
+        self.ray = ray
 
 
 class NotFullDimensionalError(Exception):
@@ -107,12 +124,14 @@ class ConstrainedZonotope:
     no LP over a set changes its arrays.  Emptiness is settled by one
     LP, the min-cost support LP (``is_empty``), whose optimal basis is
     the set's one canonical basis (``basis``).  It and other values
-    derived from a set are memoized on it (``cached``).  Every LP on the
-    set starts from ``_start``, which the operation that made the set
-    records, and never from the set's own basis.
+    derived from a set are memoized on it (``cached``), and it keeps the
+    Farkas rays of its empty slices (``slice_min_cost``), which spare
+    LPs but change no answer.  Every LP on the set starts from
+    ``_start``, which the operation that made the set records, and never
+    from the set's own basis.
     """
 
-    __slots__ = ("G", "c", "A", "b", "_cache", "_start")
+    __slots__ = ("G", "c", "A", "b", "_cache", "_start", "_slice_rays")
 
     def __init__(self, G, c, A=None, b=None):
         c = np.asarray(c, dtype=float).ravel()
@@ -152,6 +171,9 @@ class ConstrainedZonotope:
         # the start of every LP on this set, set once by the operation
         # that made it (``_offered_start``); None runs them cold
         self._start = None
+        # the certified rays of this set's empty slices, per (dims, tol)
+        # (``slice_min_cost``)
+        self._slice_rays = {}
 
     # -- representation queries ------------------------------------------
 
@@ -313,6 +335,38 @@ class ConstrainedZonotope:
                           if banded else LpBasis(parent.cols, parent.rows + (BASIC,) * m))
         return out
 
+    def slice_min_cost(self, dims, values, tol: float = 0.0) -> Optional[float]:
+        """The least cost-to-go (the last coordinate) over ``slice(dims,
+        values, tol)``, or None when that slice is empty.
+
+        The slices of one (dims, tol) family have the same rows and differ
+        only in the pinned right-hand sides.  So a Farkas ray that proved
+        one of them empty may prove another empty too: the set keeps the
+        certified ray of each of its slice LPs that ended infeasible, and
+        checks each kept ray against a new slice's support program with
+        ``lp.farkas_certifies`` before any LP runs.  A ray that passes
+        proves that no point meets that program's rows within
+        ``lp.FEAS_TOL``, so the answer is None without an LP; otherwise
+        the slice's support LP runs as ``support`` runs it, from the
+        slice's start.  Kept rays decide which LPs run; they never change
+        a value, and settle as empty only a slice whose own LP would not
+        have ended optimal.
+        """
+        key = (tuple(int(d) for d in np.ravel(dims)), float(tol))
+        sliced = self.slice(dims, values, tol)
+        with _MEMO_LOCK:
+            rays = tuple(self._slice_rays.setdefault(key, []))
+        program = sliced.cached("support_lp", sliced._support_program)
+        if any(farkas_certifies(program, ray) for ray in rays):
+            return None
+        try:
+            return -sliced.support(min_cost_direction(self.dim))
+        except EmptySetError as empty:
+            if empty.ray is not None:
+                with _MEMO_LOCK:
+                    self._slice_rays[key].append(empty.ray)
+            return None
+
     def _offered_start(self) -> Optional[LpBasis]:
         """The start this set hands to the sets made from it: its own
         canonical basis once ``is_empty`` has settled it, else the start
@@ -414,7 +468,7 @@ class ConstrainedZonotope:
         prob = self._support_lp(eta)
         sol = solve_lp(prob, basis=self._start)
         if sol.status == LpStatus.INFEASIBLE:
-            raise EmptySetError("support query on an empty set")
+            raise EmptySetError("support query on an empty set", sol.ray)
         if sol.status != LpStatus.OPTIMAL:
             raise LpError(f"support LP ended with status {sol.status}")
         return eta, sol

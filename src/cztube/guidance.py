@@ -11,7 +11,10 @@ Monte Carlo harness for the robust configuration.
 
 Every LP here starts from a basis built from the canonical bases that
 the tube sets and the control set carry, as ``cztube.czset`` sets out;
-no query computes one, so answers do not depend on query order.
+no query computes one, so answers do not depend on query order.  The
+horizon scan skips the LPs of sets that a kept Farkas ray proves do not
+contain the state (``optimal_horizon``), so the work of a scan, unlike
+its answer, depends on the scans before it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Dict, List, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .czset import ConstrainedZonotope, EmptySetError, min_cost_direction
+from .czset import ConstrainedZonotope
 from .landing import STATE_DIM, DiscreteDynamics, LandingScenario
 from .lp import BASIC, NONBASIC, LinearProgram, LpBasis, LpError, LpStatus, solve_lp
 from .tube import ControllableTube
@@ -94,15 +97,12 @@ class RolloutLog:
 
 def _min_cost_at_state(cs: ConstrainedZonotope, x_i: np.ndarray, tol: float = SLICE_TOL):
     """Left endpoint of the cost interval of CS sliced at the physical state,
-    or None when the state is not contained.
+    or None when the state is not contained (``slice_min_cost``).
 
     The support query on the slice starts from CS's canonical basis, or
-    from CS's own start when CS has not settled one."""
-    sliced = cs.slice(np.arange(STATE_DIM - 1), x_i, tol=tol)
-    try:
-        return -sliced.support(min_cost_direction(STATE_DIM))
-    except EmptySetError:
-        return None
+    from CS's own start when CS has not settled one; a state that a ray
+    kept from an earlier query proves outside CS costs no LP."""
+    return cs.slice_min_cost(np.arange(STATE_DIM - 1), x_i, tol=tol)
 
 
 def _horizon_scan(sets, x_i: np.ndarray, tol: float, outside: str) -> HorizonQuery:
@@ -128,7 +128,11 @@ def optimal_horizon(x_i, tube: ControllableTube, tol: float = SLICE_TOL) -> Hori
 
     Scans every index for containment, reads off the minimum achievable
     cost-to-go at each, and picks the cheapest; cost ties go to the
-    larger index (shorter remaining horizon).
+    larger index (shorter remaining horizon).  Each tube set keeps the
+    Farkas rays that proved earlier states outside it
+    (``ConstrainedZonotope.slice_min_cost``), and a state that one of them
+    proves outside costs no LP.  So the work of a scan depends on the
+    scans before it on the same tube; its answer does not.
     """
     x_i = np.asarray(x_i, dtype=float).ravel()
     return _horizon_scan(tube.sets, x_i, tol, "initial state is outside every controllable set")
@@ -488,13 +492,17 @@ class MonteCarloSummary:
 
 def _thread_count() -> int:
     """Monte Carlo pool size: CZTUBE_THREADS when set, else the number of
-    CPUs this process may run on."""
+    CPUs this process may run on.  ValueError naming CZTUBE_THREADS unless
+    its value is a positive integer."""
     env = os.environ.get("CZTUBE_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            count = int(env)
         except ValueError:
-            raise ValueError(f"CZTUBE_THREADS must be an integer, not {env!r}") from None
+            count = 0
+        if count < 1:
+            raise ValueError(f"CZTUBE_THREADS must be a positive integer, not {env!r}")
+        return count
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

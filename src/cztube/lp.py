@@ -13,10 +13,12 @@ verdict that it has not checked against the same rows:
   ``FEAS_TOL`` and every column bound.
 * INFEASIBLE: a Farkas ray y, checked here with numpy, proves that no
   point of the column box meets every row within the same tolerance
-  (see ``farkas_certifies``).  Contradictory column bounds and a row
-  whose activity range over the column box misses its bounds
-  (``single_row_certifies``, which also settles a program with no
-  columns) are certified by inspection.
+  (see ``farkas_certifies``).  The verdict carries that ray, which a
+  caller may check against a program with the same rows and other
+  right-hand sides (``cztube.czset`` does).  Contradictory column
+  bounds and a row whose activity range over the column box misses its
+  bounds (``single_row_certifies``, which also settles a program with
+  no columns) are certified by inspection, with no ray.
 * Anything else, including an infeasibility verdict whose ray is
   missing or fails the check, is NUMERICAL_FAILURE after one retry
   with the other HiGHS algorithm.  Callers that cannot proceed raise
@@ -212,12 +214,16 @@ class LpBasis:
 @dataclass
 class LpSolution:
     """Outcome of ``solve_lp``: the status and, when OPTIMAL, the point,
-    its objective value and the HiGHS basis of a simplex run."""
+    its objective value and the HiGHS basis of a simplex run.  When
+    INFEASIBLE, ``ray`` is the Farkas ray that ``farkas_certifies``
+    accepted, and None when the verdict came by inspection (contradictory
+    column bounds or a single row)."""
 
     status: LpStatus
     x_opt: Optional[np.ndarray] = None
     objective_value: Optional[float] = None
     highs_basis: Optional[object] = field(default=None, repr=False)
+    ray: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def basis(self) -> Optional[LpBasis]:
@@ -472,11 +478,12 @@ def solve_lp(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis
     * OPTIMAL only after the returned point has been re-checked against
       the row-scaled feasibility tolerance FEAS_TOL.
     * INFEASIBLE only with a Farkas ray that ``farkas_certifies`` has
-      checked against the program's own rows, or by inspection:
-      contradictory column bounds, or a single row that
-      ``single_row_certifies``.  The interior-point path yields no
-      ray, so its infeasibility verdict is re-solved once with
-      presolve-free simplex to obtain one.
+      checked against the program's own rows, returned as
+      ``LpSolution.ray``, or by inspection, with no ray: contradictory
+      column bounds, or a single row that ``single_row_certifies``.
+      The interior-point path yields no ray, so its infeasibility
+      verdict is re-solved once with presolve-free simplex to obtain
+      one.
     * Anything else is NUMERICAL_FAILURE, reached only after one
       deterministic retry with the alternate algorithm (simplex <->
       interior point), run cold, since degenerate boundary problems
@@ -513,8 +520,9 @@ def _solve_once(prob: LinearProgram, method: str, basis: Optional[LpBasis] = Non
     if run.status in _INFEASIBLE and method == "highs-ipm":
         run = linprog(prob, "highs")
     if run.status in _INFEASIBLE:
-        certified = run.ray is not None and farkas_certifies(prob, run.ray)
-        if certified or single_row_certifies(prob):
+        if run.ray is not None and farkas_certifies(prob, run.ray):
+            return LpSolution(LpStatus.INFEASIBLE, ray=run.ray)
+        if single_row_certifies(prob):
             return LpSolution(LpStatus.INFEASIBLE)
         return LpSolution(LpStatus.NUMERICAL_FAILURE)
     if run.status == highs.HighsModelStatus.kUnbounded:

@@ -241,6 +241,86 @@ def test_slice_with_tolerance_band():
     assert not s.is_empty()
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-6])
+def test_slice_min_cost_settles_farther_empty_slices_with_a_kept_ray(monkeypatch, tol):
+    # a slice beyond the set's support along d solves its LP and keeps
+    # its ray; a slice farther out along d is settled by that ray with no
+    # LP, and a slice inside still solves its LP and answers as support
+    rng = np.random.default_rng(41)
+    Z = random_cz(rng, dim=4, n_g=10, n_e=3)
+    Z.is_empty()
+    dims = [0, 1]
+    d = np.array([1.0, -0.5, 0.0, 0.0])
+    inside = 0.5 * (Z.extreme_point(d) + Z.extreme_point(-d))[dims]
+    reach = Z.support(d) - d[dims] @ inside  # how far inside may move along d
+    runs = []
+    backend = lp.linprog
+
+    def spy(prob, method="highs", basis=None):
+        runs.append(prob.n_vars)
+        return backend(prob, method, basis)
+
+    monkeypatch.setattr(lp, "linprog", spy)
+    step = d[dims] / (d[dims] @ d[dims])
+    assert Z.slice_min_cost(dims, inside + (reach + 0.1) * step, tol) is None
+    assert len(runs) == 1
+    assert Z.slice_min_cost(dims, inside + (reach + 1.0) * step, tol) is None
+    assert len(runs) == 1
+    value = Z.slice_min_cost(dims, inside, tol)
+    assert len(runs) == 2
+    assert value == -Z.slice(dims, inside, tol).support(min_cost_direction(4))
+
+
+def test_threads_keep_one_ray_per_empty_slice_lp(monkeypatch):
+    # more threads than cores ask the same slices of one set in the same
+    # order, most of them empty, so that threads that miss together keep
+    # their rays together: every ray an LP certified is kept once, in one
+    # list, and every answer is the one a fresh copy of the set gives
+    rng = np.random.default_rng(42)
+    Z = _with_basis(random_cz(rng, dim=4, n_g=12, n_e=3))
+    dims = [0, 1]
+    lo = [-Z.support(-e) for e in np.eye(4)[dims]]
+    hi = [Z.support(e) for e in np.eye(4)[dims]]
+    values = rng.uniform(np.array(lo) - 2.0, np.array(hi) + 2.0, size=(48, 2))
+    fresh = _with_basis(CZ(Z.G, Z.c, Z.A, Z.b))
+    serial = [fresh.slice_min_cost(dims, v, 1e-6) for v in values]
+    rays = []
+    lock = threading.Lock()
+    solve = czset.solve_lp
+
+    def spy(prob, method="highs", basis=None):
+        sol = solve(prob, method, basis)
+        if sol.ray is not None:
+            with lock:
+                rays.append(sol.ray)
+        return sol
+
+    monkeypatch.setattr(czset, "solve_lp", spy)
+    start = threading.Barrier(6)
+    results = [None] * 6
+
+    def worker(i):
+        start.wait(timeout=10)
+        results[i] = [Z.slice_min_cost(dims, v, 1e-6) for v in values]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * 6
+    assert None in serial and rays
+    assert list(Z._slice_rays) == [((0, 1), 1e-6)]
+    kept = Z._slice_rays[(0, 1), 1e-6]
+    assert sorted(id(r) for r in kept) == sorted(id(r) for r in rays)
+
+
 def test_slice_band_below_solver_resolution_is_exact():
     # a band the LP solver would drop is not built: the slice is exact
     z = random_cz(np.random.default_rng(31))

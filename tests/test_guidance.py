@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from cztube import czset, guidance, lp
 from cztube.czset import ConstrainedZonotope
 from cztube.guidance import (
+    SLICE_TOL,
     EmptySliceError,
     InfeasibleError,
     NoContainmentError,
@@ -431,6 +432,111 @@ def test_scan_and_step_are_independent_of_query_history(det_toy):
     assert np.array_equal(log_b.terminal_state, log_alone.terminal_state)
 
 
+# -- kept Farkas rays --------------------------------------------------------
+
+# the start offsets of the benchmark's det-guidance workload, per coordinate
+JITTER = np.array([50.0, 50.0, 50.0, 3.0, 3.0, 3.0, 0.0])
+
+
+def _scan(x, tube):
+    """optimal_horizon's answer from x, "outside" when no set contains x,
+    or "failure" when an LP of the scan fails its checks."""
+    try:
+        return optimal_horizon(x, tube)
+    except NoContainmentError:
+        return "outside"
+    except LpError:
+        return "failure"
+
+
+def _jittered_starts(scn, seed, count):
+    rng = np.random.default_rng(seed)
+    return [scn.initial_state() + rng.uniform(-1.0, 1.0, 7) * JITTER for _ in range(count)]
+
+
+def _boundary_starts(scn, tube):
+    """(k, starts): starts within 2 SLICE_TOL on either side of CS_k's
+    slice boundary along r1.  Bisected on a copy of CS_k, from the
+    nominal start, inside CS_k, towards a start farther out along r1
+    that CS_k rejects.  Between the last r1 whose slice LP ends optimal
+    and the first whose slice LP is certified infeasible, the LP may
+    fail its checks; both edges of that gap get starts."""
+    inside = scn.initial_state()
+    k = optimal_horizon(inside, _fresh(tube)).k_star
+    Z = _fresh(tube).cs(k)
+
+    def at(r1):
+        x = inside.copy()
+        x[0] = r1
+        return x
+
+    def verdict(r1):
+        try:
+            return "inside" if guidance._min_cost_at_state(Z, at(r1)) is not None else "outside"
+        except LpError:
+            return "failure"
+
+    far = 1.0
+    while verdict(inside[0] + far) != "outside":
+        far *= 2.0
+    starts = []
+    for before in ({"inside"}, {"inside", "failure"}):
+        lo, hi = inside[0], inside[0] + far
+        while hi - lo > SLICE_TOL / 8:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if verdict(mid) in before else (lo, mid)
+        starts += [at(lo), at(hi)]
+        starts += [at(0.5 * (lo + hi) + t * SLICE_TOL) for t in (-2, -1, -0.5, 0.5, 1, 2)]
+    return k, starts
+
+
+def test_kept_rays_leave_every_scan_answer_as_a_fresh_tube_gives(det_toy):
+    # a tube whose sets keep the rays of every scan before gives each
+    # start the answer that a fresh copy of the tube gives it: over
+    # seeded det-guidance starts, starts straddling a slice boundary, and
+    # starts inside a set that an earlier start was rejected by
+    scn, dyn, X, U, Xf, tube = det_toy
+    k, edge = _boundary_starts(scn, tube)
+    starts = _jittered_starts(scn, 17, 12) + edge + _jittered_starts(scn, 18, 12)
+    carrying = _fresh(tube)
+    rejected, inside_after_a_rejection, edge_holds = set(), set(), []
+    for i, x in enumerate(starts):
+        hq = _scan(x, carrying)
+        assert hq == _scan(x, _fresh(tube)), f"start {i}"
+        held = set(hq.containment_indices) if isinstance(hq, guidance.HorizonQuery) else set()
+        if hq != "failure":
+            inside_after_a_rejection |= held & rejected
+            rejected |= set(range(1, tube.N + 1)) - held
+        if 12 <= i < 12 + len(edge):
+            edge_holds.append(k in held)
+    assert inside_after_a_rejection
+    # the first boundary's starts fall on both sides of it
+    assert edge_holds[:2] == [True, False] and True in edge_holds[2:8] and False in edge_holds[2:8]
+
+
+def test_a_repeated_start_solves_only_its_containing_sets_lps(det_toy, monkeypatch):
+    # once a start has been scanned, each set that rejected it holds a ray
+    # that proves the rejection again, so the scan solves one LP per
+    # containing set and none for the rest
+    scn, dyn, X, U, Xf, tube = det_toy
+    carrying = _fresh(tube)
+    starts = _jittered_starts(scn, 19, 4)
+    first = [_scan(x, carrying) for x in starts]
+    runs = []
+    backend = lp.linprog
+
+    def spy(prob, method="highs", basis=None):
+        runs.append(prob.n_vars)
+        return backend(prob, method, basis)
+
+    monkeypatch.setattr(lp, "linprog", spy)
+    for x, hq in zip(starts, first):
+        assert hq is not None and len(hq.containment_indices) < tube.N
+        runs.clear()
+        assert optimal_horizon(x, carrying) == hq
+        assert len(runs) == len(hq.containment_indices)
+
+
 def test_oracle_fixed_cost_semantics(det_toy):
     scn, dyn, X, U, Xf, tube = det_toy
     hq = optimal_horizon(scn.initial_state(), tube)
@@ -668,6 +774,7 @@ def test_rollout_lps_each_build_their_own_model(det_toy, monkeypatch):
     # each change rows or column bounds, so none runs on the model that
     # the LP before it left
     scn, dyn, X, U, Xf, tube = det_toy
+    fresh = _fresh(tube)  # no kept rays, so the scan solves all N slice LPs
     runs, builds = [], []
     backend, build = lp.linprog, lp._fresh_model
 
@@ -681,7 +788,7 @@ def test_rollout_lps_each_build_their_own_model(det_toy, monkeypatch):
 
     monkeypatch.setattr(lp, "linprog", run_spy)
     monkeypatch.setattr(lp, "_fresh_model", build_spy)
-    log = forward_rollout(scn.initial_state(), tube, U, dyn)
+    log = forward_rollout(scn.initial_state(), fresh, U, dyn)
     # the scan's N slices, one LP per step, and the containment LP last
     assert log.records and len(runs) >= tube.N + len(log.records) + 1
     assert runs[-1] == tube.cs(tube.N).n_generators + 1
@@ -726,9 +833,11 @@ def test_pool_size_follows_the_usable_cpus_and_names_a_bad_setting(monkeypatch):
     assert guidance._thread_count() == 1
     monkeypatch.setenv("CZTUBE_THREADS", "3")
     assert guidance._thread_count() == 3
-    monkeypatch.setenv("CZTUBE_THREADS", "abc")
-    with pytest.raises(ValueError, match="CZTUBE_THREADS"):
-        guidance._thread_count()
+    # a count below 1 is as bad a setting as a word, not one worker
+    for bad in ("abc", "0", "-2"):
+        monkeypatch.setenv("CZTUBE_THREADS", bad)
+        with pytest.raises(ValueError, match="CZTUBE_THREADS"):
+            guidance._thread_count()
 
 
 def test_monte_carlo_repeatable_and_reuses_eroded(robust_toy):

@@ -372,6 +372,35 @@ def test_program_without_columns_matches_the_absolute_check():
     assert any(verdicts) and not all(verdicts)
 
 
+def test_infeasible_verdict_carries_the_ray_it_certified():
+    # the ray proves its own program infeasible, and every program of the
+    # family whose rhs lies farther out on the same line; it stops
+    # certifying once the rhs is back in the feasible region
+    at, f_in = _rhs_family(np.random.default_rng(11))
+    f_out = f_in + 40.0 * np.eye(f_in.size)[0]
+    sol = solve_lp(at(f_out))
+    assert sol.status == LpStatus.INFEASIBLE and sol.ray is not None
+    assert farkas_certifies(at(f_out), sol.ray)
+    assert farkas_certifies(at(2.0 * f_out - f_in), sol.ray)
+    assert not farkas_certifies(at(f_in), sol.ray)
+    assert solve_lp(at(f_in)).status == LpStatus.OPTIMAL
+
+
+def test_no_ray_without_a_ray_certified_verdict(monkeypatch):
+    at, f_in = _rhs_family(np.random.default_rng(11))
+    optimal = solve_lp(at(f_in))
+    assert optimal.status == LpStatus.OPTIMAL and optimal.ray is None
+    # verdicts by inspection: the row HiGHS drops, then contradictory
+    # bounds with the solver gone
+    dropped = LinearProgram(c_obj=[0.0, 1.0], E=[[-1e-12, 0.0]], f=[4.0],
+                            lb=[-1.0, -1.0], ub=[1.0, 1.0])
+    single = solve_lp(dropped)
+    assert single.status == LpStatus.INFEASIBLE and single.ray is None
+    monkeypatch.setattr(lp, "linprog", None)
+    bounds = solve_lp(LinearProgram(c_obj=[0.0, 0.0], lb=[0.0, 1.0], ub=[1.0, -1.0]))
+    assert bounds.status == LpStatus.INFEASIBLE and bounds.ray is None
+
+
 def _max_reference(M, rhs):
     """Row scales by SciPy's sparse max, on a copy (it sums duplicates in place)."""
     row_max = np.asarray(abs(M.copy()).max(axis=1).todense()).ravel()
