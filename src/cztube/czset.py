@@ -22,25 +22,38 @@ direction.  Any other set records none, and its LPs run cold, as do
 containment LPs.  The online LPs are LPs on such sets (the horizon
 scan's and the divert footprint's slices, the decision-deferral
 intersections), and the one-step LP starts from the next tube set's and
-the control set's bases joined (``guidance._OneStepModel``).  A query
-only reads these bases and never takes one from an earlier query, so no
-verdict depends on the order of the queries before it.  Neither does a
-value, with one exception: a set's support LPs are copies of one program
-(``_support_lp``), and the LP layer runs a thread's consecutive ones on
-one HiGHS model (``lp.linprog``), whose column scaling comes from the
-first costs it ran.  So within one set's support queries an answer may
-differ from a fresh solve from the same start by rounding, never in its
-status; every other LP builds its own model.
+the control set's bases joined (``guidance._OneStepModel``).
+
+One family of LPs continues from the queries before it: a set's support
+LPs are copies of one program (``_support_lp``), and the LP layer runs a
+thread's consecutive ones on one HiGHS model (``lp.linprog``).  The first
+two start from ``_start``; each later one continues from the optimum of
+the query before it, which stays primal feasible for new costs, so a
+sweep of neighbouring directions (a divert footprint, an interval hull)
+pays a short improvement per direction instead of a full repair.  So a
+set's support answers depend on the order of the thread's consecutive
+support queries on that set, by rounding only.  No verdict can change: a
+support LP on a nonempty set ends optimal, and one on an empty set
+infeasible with a checked ray, whatever its start.  The same sequence of
+queries repeats every answer bitwise.  The emptiness LP is the min-cost
+support LP, and the code that makes a set for repeated queries settles
+it first, on a model of its own.  Every other LP (scan slices, one-step
+and containment LPs) builds its own model from the start set out above
+and reads no earlier query, so its answer depends on the set and its
+start alone.
 
 The work a query does, unlike its answer, depends on the queries before
 it.  A set keeps the certified Farkas ray of each of its slice LPs that
-ended infeasible (``slice_min_cost``, the horizon scan's query), and a
-kept ray that certifies a later slice's program settles that slice as
-empty with no LP.  Such a program has no point that meets its rows
-within ``lp.FEAS_TOL``, so its own LP could not have ended optimal: a
-kept ray never changes a value or a containing index.  Where that LP
-would have failed its checks instead, a kept ray that passes settles
-the slice as empty rather than as a numerical failure.
+ended infeasible (``slice_min_cost``, the horizon scan's query), with the
+terms of its check that read only the family's rows (``lp.farkas_ray``).
+A kept ray that certifies a later slice's program, checked from those
+terms and the pinned right-hand sides before the slice is built, settles
+that slice as empty with no slice and no LP.  Such a program has no
+point that meets its rows within ``lp.FEAS_TOL``, so its own LP could
+not have ended optimal: a kept ray never changes a value or a
+containing index.  Where that LP would have failed its checks instead,
+a kept ray that passes settles the slice as empty rather than as a
+numerical failure.
 """
 
 from __future__ import annotations
@@ -63,7 +76,9 @@ from .lp import (
     LpError,
     LpStatus,
     canonical_csr,
-    farkas_certifies,
+    farkas_ray,
+    row_norms,
+    row_scale,
     solve_lp,
 )
 
@@ -110,6 +125,32 @@ class Halfspace:
         self.offset = float(self.offset)
         if not np.any(self.normal):
             raise ValueError("halfspace normal must be nonzero")
+
+
+class _SliceRays:
+    """The kept Farkas rays of one (dims, tol) family of a set's slices
+    (``ConstrainedZonotope.slice_min_cost``), each as the terms of its
+    check that read only the family's rows and column bounds
+    (``lp.FarkasRay``), with the rest of what the check reads: the
+    right-hand sides and row scales of the parent's rows, which every
+    slice of the family shares, and the norms of the m pin rows."""
+
+    __slots__ = ("parent_rhs", "parent_scale", "pin_norms", "rays")
+
+    def __init__(self, program: LinearProgram, m: int):
+        n = program.A.shape[0] - m
+        self.parent_rhs = program.row_hi[:n]
+        self.parent_scale = program.row_scale[:n]
+        self.pin_norms = row_norms(program.A)[n:]
+        self.rays = []
+
+    def settle(self, pin_rhs: np.ndarray, rays) -> bool:
+        """True iff one of rays proves empty the slice whose pin rows have
+        right-hand sides pin_rhs: ``lp.farkas_certifies`` on its support
+        program, with no slice built."""
+        rhs = np.concatenate([self.parent_rhs, pin_rhs])
+        scale = np.concatenate([self.parent_scale, row_scale(self.pin_norms, pin_rhs)])
+        return any(ray.certifies(rhs, rhs, scale) for ray in rays)
 
 
 class ConstrainedZonotope:
@@ -328,7 +369,7 @@ class ConstrainedZonotope:
             shape=(P.shape[0] + m, pins.shape[1]),
         )
         G = np.hstack([self.G, np.zeros((self.dim, m))]) if banded else self.G
-        out = ConstrainedZonotope(G, self.c, A, np.concatenate([self.b, values - E @ self.c]))
+        out = ConstrainedZonotope(G, self.c, A, np.concatenate([self.b, values - self.c[dims]]))
         parent = self._offered_start()
         if parent is not None:
             out._start = (LpBasis(parent.cols + (BASIC,) * m, parent.rows + (NONBASIC,) * m)
@@ -339,32 +380,42 @@ class ConstrainedZonotope:
         """The least cost-to-go (the last coordinate) over ``slice(dims,
         values, tol)``, or None when that slice is empty.
 
-        The slices of one (dims, tol) family have the same rows and differ
-        only in the pinned right-hand sides.  So a Farkas ray that proved
-        one of them empty may prove another empty too: the set keeps the
-        certified ray of each of its slice LPs that ended infeasible, and
-        checks each kept ray against a new slice's support program with
-        ``lp.farkas_certifies`` before any LP runs.  A ray that passes
-        proves that no point meets that program's rows within
-        ``lp.FEAS_TOL``, so the answer is None without an LP; otherwise
-        the slice's support LP runs as ``support`` runs it, from the
-        slice's start.  Kept rays decide which LPs run; they never change
-        a value, and settle as empty only a slice whose own LP would not
-        have ended optimal.
+        The slices of one (dims, tol) family have the same rows and column
+        bounds and differ only in the pinned right-hand sides.  So a Farkas
+        ray that proved one of them empty may prove another empty too: the
+        set keeps the certified ray of each of its slice LPs that ended
+        infeasible (``_SliceRays``), and checks each kept ray against a new
+        slice's program before the slice is built.  The check is
+        ``lp.farkas_certifies`` on that program, with the terms that read
+        only its rows kept from the ray's own slice.  A ray that passes
+        proves that no point meets the program's rows within
+        ``lp.FEAS_TOL``, so the answer is None with no slice and no LP;
+        otherwise the slice is built and its support LP runs as
+        ``support`` runs it, from the slice's start.  Kept rays decide
+        which LPs run; they never change a value, and settle as empty only
+        a slice whose own LP would not have ended optimal.
         """
-        key = (tuple(int(d) for d in np.ravel(dims)), float(tol))
-        sliced = self.slice(dims, values, tol)
+        dims = np.asarray(dims, dtype=int).ravel()
+        values = np.asarray(values, dtype=float).ravel()
+        if dims.size != values.size:
+            raise ValueError("slice index/value length mismatch")
+        key = (tuple(dims.tolist()), float(tol))
         with _MEMO_LOCK:
-            rays = tuple(self._slice_rays.setdefault(key, []))
-        program = sliced.cached("support_lp", sliced._support_program)
-        if any(farkas_certifies(program, ray) for ray in rays):
+            family = self._slice_rays.get(key)
+            rays = () if family is None else tuple(family.rays)
+        if rays and family.settle(values - self.c[dims], rays):
             return None
+        sliced = self.slice(dims, values, tol)
         try:
             return -sliced.support(min_cost_direction(self.dim))
         except EmptySetError as empty:
             if empty.ray is not None:
+                program = sliced.cached("support_lp", sliced._support_program)
+                ray = farkas_ray(program.A, program.lb, program.ub, empty.ray)
                 with _MEMO_LOCK:
-                    self._slice_rays[key].append(empty.ray)
+                    if key not in self._slice_rays:
+                        self._slice_rays[key] = _SliceRays(program, dims.size)
+                    self._slice_rays[key].rays.append(ray)
             return None
 
     def _offered_start(self) -> Optional[LpBasis]:
@@ -428,7 +479,8 @@ class ConstrainedZonotope:
         """The support LP in direction eta: a copy of the set's one support
         program, built once, with its own costs.  All copies share the
         program's rows, so the LP layer runs a thread's consecutive
-        support queries on one set on one HiGHS model (``lp.linprog``)."""
+        support queries on one set on one HiGHS model (``lp.linprog``),
+        each from the optimum of the one before it."""
         prob = copy.copy(self.cached("support_lp", self._support_program))
         prob.c_obj = -(self.G.T @ eta)
         return prob

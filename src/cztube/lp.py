@@ -15,7 +15,8 @@ verdict that it has not checked against the same rows:
   point of the column box meets every row within the same tolerance
   (see ``farkas_certifies``).  The verdict carries that ray, which a
   caller may check against a program with the same rows and other
-  right-hand sides (``cztube.czset`` does).  Contradictory column
+  right-hand sides, with the terms that read only the rows computed
+  once (``farkas_ray``; ``cztube.czset`` does).  Contradictory column
   bounds and a row whose activity range over the column box misses its
   bounds (``single_row_certifies``, which also settles a program with
   no columns) are certified by inspection, with no ray.
@@ -38,10 +39,14 @@ basis, dual simplex otherwise.  Cold runs use dual simplex.
 Each thread holds the HiGHS model of its last simplex run on rows that
 the LP before it had too, and its next LP runs on that model when it
 differs only in its costs (see ``linprog``): a set's support LPs,
-copies of one program, do.  The
-model keeps the column scaling HiGHS chose for the first costs it ran,
-so such a run may take another simplex path than a fresh model and
-differ from it by rounding; its verdict is checked as above.
+copies of one program, do.  Such a run continues from the basis the
+model's last run ended on, whatever start it is given: an optimum of
+other costs over the same rows is primal feasible for any costs, so
+simplex only improves the objective from it.  Its answer therefore
+depends on the LPs the model ran before, by rounding only; the same
+sequence of LPs repeats it bitwise.  The model also keeps the column
+scaling HiGHS chose for the first costs it ran.  Its verdict is checked
+as above.
 """
 
 from __future__ import annotations
@@ -165,17 +170,29 @@ class LinearProgram:
             self.A = sp.vstack([self.H, self.E], format="csr")
         self.row_lo = np.concatenate([np.full(self.g.size, -np.inf), self.f])
         self.row_hi = np.concatenate([self.g, self.f])
-        row_max = np.zeros(self.A.shape[0])
-        filled = np.diff(self.A.indptr) > 0
-        if filled.any():
-            row_max[filled] = np.maximum.reduceat(np.abs(self.A.data), self.A.indptr[:-1][filled])
-        rhs = np.abs(self.row_hi)
-        rhs[np.isinf(rhs)] = 0.0  # an infinite bound scales no residual
-        self.row_scale = np.maximum(1.0, np.maximum(row_max, rhs))
+        self.row_scale = row_scale(row_norms(self.A), self.row_hi)
 
     @property
     def n_vars(self) -> int:
         return self.c_obj.size
+
+
+def row_norms(A: sp.csr_matrix) -> np.ndarray:
+    """The inf-norm of each row of a CSR matrix, 0 for a row with no
+    stored entry."""
+    norms = np.zeros(A.shape[0])
+    filled = np.diff(A.indptr) > 0
+    if filled.any():
+        norms[filled] = np.maximum.reduceat(np.abs(A.data), A.indptr[:-1][filled])
+    return norms
+
+
+def row_scale(norms: np.ndarray, row_hi: np.ndarray) -> np.ndarray:
+    """The residual scale of each row (``LinearProgram.row_scale``) from
+    its norm (``row_norms``) and its upper right-hand side."""
+    rhs = np.abs(row_hi)
+    rhs[np.isinf(rhs)] = 0.0  # an infinite bound scales no residual
+    return np.maximum(1.0, np.maximum(norms, rhs))
 
 
 @dataclass(frozen=True)
@@ -270,34 +287,70 @@ def farkas_certifies(prob: LinearProgram, ray) -> bool:
     error and fails on anything larger.  Ray entries below RAY_TOL of
     the largest are dropped first; the check is then exact for the
     remaining vector.
+
+    The check is ``FarkasRay.certifies`` on ``farkas_ray``: the terms
+    that read A and the column bounds, then those that read the
+    right-hand sides and the row scales.
     """
-    A, row_lo, row_hi = prob.A, prob.row_lo, prob.row_hi
+    terms = farkas_ray(prob.A, prob.lb, prob.ub, ray)
+    return terms is not None and terms.certifies(prob.row_lo, prob.row_hi, prob.row_scale)
+
+
+@dataclass(frozen=True)
+class FarkasRay:
+    """The terms of ``farkas_certifies`` that depend on the rows' matrix
+    A, the column bounds and the ray alone: the normalized ray y, and for
+    each of y and -y the column term, max over [lb, ub] of (A'y)'x over
+    the bounded columns, or None when A'y fails the rounding bound on an
+    unbounded column.  So it serves every program with the same A and
+    column bounds, whatever its right-hand sides and row scales."""
+
+    y: np.ndarray
+    column_terms: tuple
+
+    def certifies(self, row_lo, row_hi, row_scale) -> bool:
+        """``farkas_certifies`` on the program with these right-hand
+        sides, row scales and the A and column bounds of this ray."""
+        y = self.y
+        slack = FEAS_TOL * float(np.abs(y) @ row_scale)
+        for cand, column_term in zip((y, -y), self.column_terms):
+            if column_term is None:
+                continue
+            r_min = np.where(cand > 0, row_lo, np.where(cand < 0, row_hi, 0.0))
+            if not np.all(np.isfinite(r_min)):
+                continue
+            if float(cand @ r_min) - column_term > slack:
+                return True
+        return False
+
+
+def farkas_ray(A: sp.csr_matrix, lb: np.ndarray, ub: np.ndarray, ray) -> Optional[FarkasRay]:
+    """The terms of ``farkas_certifies`` that read only A, the column
+    bounds [lb, ub] and the ray (``FarkasRay``); None for a ray that
+    certifies nothing: of the wrong length, not finite, or zero."""
     y = np.asarray(ray, dtype=float).ravel()
     if y.size != A.shape[0] or not np.all(np.isfinite(y)):
-        return False
+        return None
     peak = float(np.abs(y).max(initial=0.0))
     if peak == 0.0:
-        return False
+        return None
     y = y / peak
     y[np.abs(y) <= RAY_TOL] = 0.0
-    slack = FEAS_TOL * float(np.abs(y) @ prob.row_scale)
     z_y = A.T @ y
     rounding = None
-    for cand, z in ((y, z_y), (-y, -z_y)):
-        r_min = np.where(cand > 0, row_lo, np.where(cand < 0, row_hi, 0.0))
-        if not np.all(np.isfinite(r_min)):
-            continue
-        x_max = np.where(z > 0, prob.ub, np.where(z < 0, prob.lb, 0.0))
+    column_terms = []
+    for z in (z_y, -z_y):
+        x_max = np.where(z > 0, ub, np.where(z < 0, lb, 0.0))
         unbounded = ~np.isfinite(x_max)
         if unbounded.any():
             if rounding is None:
                 rounding = RAY_TOL * (abs(A).T @ np.abs(y))
             if np.any(np.abs(z[unbounded]) > rounding[unbounded]):
+                column_terms.append(None)
                 continue
         bounded = ~unbounded
-        if float(cand @ r_min) - float(z[bounded] @ x_max[bounded]) > slack:
-            return True
-    return False
+        column_terms.append(float(z[bounded] @ x_max[bounded]))
+    return FarkasRay(y, tuple(column_terms))
 
 
 def single_row_certifies(prob: LinearProgram) -> bool:
@@ -405,9 +458,10 @@ def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis]
     differs only in its costs: the same ``A``, ``row_lo`` and ``row_hi``
     objects, equal column bounds, and the same method and options (so a
     warm and a cold run never share a model).  That LP gets its costs
-    (``changeColsCost``), the solver state is cleared (``clearSolver``),
-    the start is set when warm, and it runs; no model is made, given
-    options or passed the rows.  Only LPs made as copies of one program
+    (``changeColsCost``) and runs from the basis the model's last run
+    ended on, which an optimal run leaves primal feasible for the new
+    costs; ``basis`` is not set.  No model is made, given options or
+    passed the rows.  Only LPs made as copies of one program
     with their own ``c_obj`` share rows, such as a set's support LPs
     (``cztube.czset``).  Any other LP drops the held model before it
     builds its own, and an IPM model is never held.
@@ -420,9 +474,10 @@ def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis]
     options = {**_COMMON_OPTIONS, **_METHODS[method], **(_WARM_OPTIONS if warm else {})}
     held = getattr(_HELD, "model", None)
     if held is not None and held.serves(prob, options):
+        # the held model keeps its last basis, which new costs leave
+        # primal feasible: the run continues from it
         solver = held.solver
         solver.changeColsCost(prob.n_vars, np.arange(prob.n_vars, dtype=np.int32), prob.c_obj)
-        solver.clearSolver()
     else:
         # freed before the next model is built, so that a thread never
         # holds two
@@ -430,14 +485,14 @@ def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis]
         solver = _fresh_model(prob, options)
         if solver is None:
             return HighsRun(highs.HighsModelStatus.kModelError, 0)
-    if warm:
-        start = highs.HighsBasis()
-        start.col_status = list(basis.cols)
-        start.row_status = list(basis.rows)
-        start.valid = True
-        start.alien = False
-        if solver.setBasis(start) == highs.HighsStatus.kError:
-            return HighsRun(highs.HighsModelStatus.kModelError, 0)
+        if warm:
+            start = highs.HighsBasis()
+            start.col_status = list(basis.cols)
+            start.row_status = list(basis.rows)
+            start.valid = True
+            start.alien = False
+            if solver.setBasis(start) == highs.HighsStatus.kError:
+                return HighsRun(highs.HighsModelStatus.kModelError, 0)
     solver.run()
     status = solver.getModelStatus()
     info = solver.getInfo()

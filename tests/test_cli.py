@@ -389,6 +389,17 @@ def test_reach_boundary_output(det_cfg, det_tube, tmp_path):
     assert np.all(np.isfinite(pts))
 
 
+def test_reach_repeats_bytewise(det_cfg, det_tube, tmp_path):
+    # a footprint's sweep continues from each direction's optimum, so its
+    # points depend on the order of its directions, which is fixed: two
+    # runs on one tube file write the same bytes
+    outs = [tmp_path / "reach1.csv", tmp_path / "reach2.csv"]
+    for out in outs:
+        assert main(["reach", "--config", str(det_cfg), "--tube", str(det_tube),
+                     "--step", "8", "--out", str(out)]) == EXIT_OK
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_montecarlo_runs_no_erosion(rob_cfg, rob_tube, tmp_path, monkeypatch):
     # the robust tube file carries its eroded targets: the trials steer
     # into those, and nothing is eroded online

@@ -317,8 +317,10 @@ def test_threads_keep_one_ray_per_empty_slice_lp(monkeypatch):
     assert results == [serial] * 6
     assert None in serial and rays
     assert list(Z._slice_rays) == [((0, 1), 1e-6)]
-    kept = Z._slice_rays[(0, 1), 1e-6]
-    assert sorted(id(r) for r in kept) == sorted(id(r) for r in rays)
+    kept = Z._slice_rays[(0, 1), 1e-6].rays
+    program = Z.slice(dims, values[0], 1e-6)._support_program()
+    certified = [lp.farkas_ray(program.A, program.lb, program.ub, r) for r in rays]
+    assert sorted(r.y.tobytes() for r in kept) == sorted(r.y.tobytes() for r in certified)
 
 
 def test_slice_band_below_solver_resolution_is_exact():

@@ -537,6 +537,47 @@ def test_a_repeated_start_solves_only_its_containing_sets_lps(det_toy, monkeypat
         assert len(runs) == len(hq.containment_indices)
 
 
+def test_kept_rays_are_checked_as_on_the_built_slice(det_toy, monkeypatch):
+    # each set's kept rays, checked for seeded and slice-boundary starts
+    # with no slice built, give exactly the verdicts of farkas_certifies
+    # on the built slice's program; a start that a kept ray settles
+    # builds no slice
+    scn, dyn, X, U, Xf, tube = det_toy
+    k, edge = _boundary_starts(scn, tube)
+    starts = _jittered_starts(scn, 17, 12) + edge
+    carrying = _fresh(tube)
+    for x in starts:
+        _scan(x, carrying)
+    dims, key = np.arange(7), (tuple(range(7)), SLICE_TOL)
+    families = [(Z, Z._slice_rays[key]) for Z in carrying.sets if key in Z._slice_rays]
+    assert families
+    verdicts = set()
+    for Z, family in families:
+        for x in starts:
+            program = Z.slice(dims, x, SLICE_TOL)._support_program()
+            for ray in family.rays:
+                verdict = family.settle(x - Z.c[dims], [ray])
+                assert verdict == lp.farkas_certifies(program, ray.y)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+    sliced = []
+    build = ConstrainedZonotope.slice
+
+    def slice_spy(self, *args, **kwargs):
+        sliced.append(id(self))
+        return build(self, *args, **kwargs)
+
+    monkeypatch.setattr(ConstrainedZonotope, "slice", slice_spy)
+    settled_any = False
+    for x in starts:
+        settled = {id(Z) for Z, family in families if family.settle(x - Z.c[dims], family.rays)}
+        settled_any |= bool(settled)
+        sliced.clear()
+        _scan(x, carrying)
+        assert not settled & set(sliced)
+    assert settled_any
+
+
 def test_oracle_fixed_cost_semantics(det_toy):
     scn, dyn, X, U, Xf, tube = det_toy
     hq = optimal_horizon(scn.initial_state(), tube)
@@ -643,19 +684,27 @@ def test_footprint_warm_matches_cold_solve(det_toy):
             assert gap <= FEAS_TOL * scale
 
 
-def test_footprint_is_independent_of_direction_order(det_toy):
-    # the same footprint queried in two orders on fresh tubes gives
-    # bitwise-identical points
+def test_footprint_repeats_for_one_direction_order(det_toy):
+    # a footprint's sweep continues from each direction's optimum, so its
+    # points depend on the order of the directions: the same order on two
+    # fresh tubes gives bitwise-identical points, and the reversed order
+    # points of the same support within the cold-start bounds (an axis
+    # direction may meet a face of the footprint, whose points all are
+    # extreme in it)
     scn, dyn, X, U, Xf, tube = det_toy
     angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
     etas = [np.array([np.cos(a), np.sin(a)]) for a in angles]
     forward = _footprints(_fresh(tube), U, dyn, scn)
+    again = _footprints(_fresh(tube), U, dyn, scn)
     backward = _footprints(_fresh(tube), U, dyn, scn)
-    for (_, R1), (_, R2) in zip(forward, backward):
+    for (_, R1), (_, R2), (_, R3) in zip(forward, again, backward):
         p1 = [R1.extreme_point(eta) for eta in etas]
-        p2 = [R2.extreme_point(eta) for eta in reversed(etas)][::-1]
-        for a, b in zip(p1, p2):
+        p2 = [R2.extreme_point(eta) for eta in etas]
+        p3 = [R3.extreme_point(eta) for eta in reversed(etas)][::-1]
+        for eta, a, b, c in zip(etas, p1, p2, p3):
             assert np.array_equal(a, b)
+            scale = max(1.0, abs(R1.support(eta)))
+            assert abs(eta @ a - eta @ c) <= FEAS_TOL * scale
 
 
 def test_footprint_outside_the_set_is_a_certified_empty_slice(det_toy, monkeypatch):

@@ -616,20 +616,47 @@ def test_held_model_serves_only_the_same_rows_bounds_and_options(monkeypatch):
         assert len(builds) == built, i
 
 
-def test_rerun_on_a_held_model_repeats_a_fresh_run():
+def test_rerun_on_a_held_model_continues_from_its_last_optimum():
     # the same program run again, cold and warm: from the third run on
-    # the held model serves, and the cleared solver takes the fresh
-    # model's path to the same point
+    # the held model serves, starts at the optimum it holds, and takes no
+    # iteration to the fresh runs' point
     rng = np.random.default_rng(29)
     for _ in range(5):
-        prob = _random_feasible_lp(rng, n=20, m_eq=4, m_ub=6)
-        slack = LpBasis((lp.NONBASIC,) * prob.n_vars, (BASIC,) * prob.A.shape[0])
-        for basis in (None, slack):
+        for warm in (False, True):
+            prob = _random_feasible_lp(rng, n=20, m_eq=4, m_ub=6)
+            basis = LpBasis((lp.NONBASIC,) * prob.n_vars, (BASIC,) * prob.A.shape[0]) if warm else None
             runs = [lp.linprog(prob, "highs", basis) for _ in range(4)]
-            assert runs[0].nit > 0
-            for run in runs[1:]:
-                assert run.nit == runs[0].nit
+            assert runs[0].nit == runs[1].nit > 0
+            assert np.array_equal(runs[1].x, runs[0].x)
+            for run in runs[2:]:
+                assert run.nit == 0
                 assert np.array_equal(run.x, runs[0].x)
+
+
+def test_sweep_on_a_held_model_matches_fresh_runs_in_fewer_iterations():
+    # a footprint's sweep: 16 neighbouring directions of a 2-dim image of
+    # one program, cold and from the program's optimal basis.  Each served
+    # run ends as a fresh run of its LP does, within rounding, and the
+    # sweep, continuing from each direction's optimum, takes fewer
+    # iterations than the fresh runs
+    rng = np.random.default_rng(30)
+    angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    for _ in range(5):
+        prob = _random_feasible_lp(rng, n=40, m_eq=8, m_ub=12)
+        G = rng.normal(size=(2, prob.n_vars))
+        costs = [-(G.T @ np.array([np.cos(a), np.sin(a)])) for a in angles]
+        for basis in (None, solve_lp(prob).basis):
+            served = []
+            for c in costs:
+                out = copy.copy(prob)
+                out.c_obj = c
+                served.append(lp.linprog(out, "highs", basis))
+            fresh = [lp.linprog(LinearProgram(c, prob.E, prob.f, prob.H, prob.g, prob.lb, prob.ub),
+                                "highs", basis) for c in costs]
+            for c, a, b in zip(costs, served, fresh):
+                assert a.status == b.status == lp.highs.HighsModelStatus.kOptimal
+                assert abs(c @ a.x - c @ b.x) <= 1e-9 * max(1.0, abs(c @ b.x))
+            assert sum(run.nit for run in served) < sum(run.nit for run in fresh)
 
 
 def test_program_with_one_block_of_rows_holds_that_block():

@@ -71,8 +71,9 @@ def test_every_private_definition_is_referenced():
 
 
 def test_only_the_lp_module_builds_solver_models():
-    # one backend: HiGHS models are made and filled in cztube.lp alone
-    solver_calls = {"_Highs", "passModel"}
+    # one backend: HiGHS models are made, filled, restarted and re-costed
+    # in cztube.lp alone
+    solver_calls = {"_Highs", "passModel", "changeColsCost", "setBasis", "clearSolver"}
     holders = {name for name, tree in _modules().items() if solver_calls & _references(tree)}
     assert holders == {"lp.py"}
 
