@@ -14,6 +14,7 @@ basis of its support LP in the min-cost direction
 recursions and ``landing.build_control_set`` settle it, and a tube file
 stores it.  Every LP on a set (emptiness, or support in any direction)
 starts from the one basis recorded when the set was made (``_start``),
+unless it continues from an earlier query (below).  That basis is
 derived from the bases of its operands: a slice's extends its parent's,
 dual feasible in the min-cost direction; an affine image's and a
 translate's is its source's, primal feasible in every direction; an
@@ -24,29 +25,36 @@ scan's and the divert footprint's slices, the decision-deferral
 intersections), and the one-step LP starts from the next tube set's and
 the control set's bases joined (``guidance._OneStepModel``).
 
-One family of LPs continues from the queries before it: a set's support
-LPs are copies of one program (``_support_lp``), and the LP layer runs a
-thread's consecutive ones on one HiGHS model (``lp.linprog``).  The first
-two start from ``_start``; each later one continues from the optimum of
-the query before it, which stays primal feasible for new costs, so a
-sweep of neighbouring directions (a divert footprint, an interval hull)
-pays a short improvement per direction instead of a full repair.  So a
-set's support answers depend on the order of the thread's consecutive
-support queries on that set, by rounding only.  No verdict can change: a
-support LP on a nonempty set ends optimal, and one on an empty set
-infeasible with a checked ray, whatever its start.  The same sequence of
-queries repeats every answer bitwise.  The emptiness LP is the min-cost
-support LP, and the code that makes a set for repeated queries settles
-it first, on a model of its own.  Every other LP (scan slices, one-step
-and containment LPs) builds its own model from the start set out above
-and reads no earlier query, so its answer depends on the set and its
-start alone.
+Two families of LPs continue from the queries before them.  A set's
+support LPs are copies of one program (``_support_lp``), and the LP
+layer runs a thread's consecutive ones on one HiGHS model
+(``lp.linprog``).  The first two start from ``_start``; each later one
+continues from the optimum of the query before it, which stays primal
+feasible for new costs, so a sweep of neighbouring directions (a divert
+footprint, an interval hull) pays a short improvement per direction
+instead of a full repair.  The horizon scan's slice LPs on a set
+(``slice_min_cost``) form one family per pinned (dims, tol): the same
+rows and costs, other pinned right-hand sides.  The family's first LP
+starts from the slice's ``_start``; each later one starts from the
+optimal basis of the family's last LP that ended optimal, which stays
+dual feasible for a new right-hand side, so dual simplex repairs only
+the pinned rows.  So a set's support answers depend on the order of the
+thread's consecutive support queries on that set, and a scan's costs on
+the slice queries on that set before it, by rounding only.  No verdict
+can change: a support LP on a nonempty set ends optimal, and one on an
+empty set infeasible with a checked ray, whatever its start.  The same
+sequence of queries repeats every answer bitwise.  The emptiness LP is
+the min-cost support LP, and the code that makes a set for repeated
+queries settles it first, on a model of its own.  Every other LP
+(one-step and containment LPs) builds its own model from the start set
+out above and reads no earlier query, so its answer depends on the set
+and its start alone.
 
-The work a query does, unlike its answer, depends on the queries before
-it.  A set keeps the certified Farkas ray of each of its slice LPs that
-ended infeasible (``slice_min_cost``, the horizon scan's query), with the
-terms of its check that read only the family's rows (``lp.farkas_ray``).
-A kept ray that certifies a later slice's program, checked from those
+The work a query does depends on the queries before it in one more way,
+which changes no value.  A set keeps the certified Farkas ray of each of
+its slice LPs that ended infeasible (``slice_min_cost``, the horizon
+scan's query), with the terms of its check that read only the family's
+rows (``lp.farkas_ray``).  A kept ray that certifies a later slice's program, checked from those
 terms and the pinned right-hand sides before the slice is built, settles
 that slice as empty with no slice and no LP.  Such a program has no
 point that meets its rows within ``lp.FEAS_TOL``, so its own LP could
@@ -127,15 +135,22 @@ class Halfspace:
             raise ValueError("halfspace normal must be nonzero")
 
 
-class _SliceRays:
-    """The kept Farkas rays of one (dims, tol) family of a set's slices
-    (``ConstrainedZonotope.slice_min_cost``), each as the terms of its
-    check that read only the family's rows and column bounds
-    (``lp.FarkasRay``), with the rest of what the check reads: the
-    right-hand sides and row scales of the parent's rows, which every
-    slice of the family shares, and the norms of the m pin rows."""
+class _SliceFamily:
+    """What a set keeps of one (dims, tol) family of its slices
+    (``ConstrainedZonotope.slice_min_cost``), whose support programs
+    share their rows' matrix and column bounds and differ only in the
+    pinned right-hand sides.
 
-    __slots__ = ("parent_rhs", "parent_scale", "pin_norms", "rays")
+    ``basis`` is the HiGHS basis of the family's last optimal slice LP
+    (``lp.LpSolution.highs_basis``), the start of its next one, or None.
+    ``rays`` are the certified Farkas rays of its slice LPs that ended
+    infeasible, each as the terms of its check that read only the
+    family's rows and column bounds (``lp.FarkasRay``); the rest of what
+    the check reads is kept once: the right-hand sides and row scales of
+    the parent's rows, which every slice of the family shares, and the
+    norms of the m pin rows."""
+
+    __slots__ = ("parent_rhs", "parent_scale", "pin_norms", "rays", "basis")
 
     def __init__(self, program: LinearProgram, m: int):
         n = program.A.shape[0] - m
@@ -143,6 +158,7 @@ class _SliceRays:
         self.parent_scale = program.row_scale[:n]
         self.pin_norms = row_norms(program.A)[n:]
         self.rays = []
+        self.basis = None
 
     def settle(self, pin_rhs: np.ndarray, rays) -> bool:
         """True iff one of rays proves empty the slice whose pin rows have
@@ -165,14 +181,15 @@ class ConstrainedZonotope:
     no LP over a set changes its arrays.  Emptiness is settled by one
     LP, the min-cost support LP (``is_empty``), whose optimal basis is
     the set's one canonical basis (``basis``).  It and other values
-    derived from a set are memoized on it (``cached``), and it keeps the
-    Farkas rays of its empty slices (``slice_min_cost``), which spare
-    LPs but change no answer.  Every LP on the set starts from
-    ``_start``, which the operation that made the set records, and never
-    from the set's own basis.
+    derived from a set are memoized on it (``cached``).  Per family of its
+    slices it keeps the basis of the last slice LP that ended optimal,
+    which starts the next, and the Farkas rays of its empty slices, which
+    spare LPs (``slice_min_cost``); neither changes a verdict.  Every
+    other LP on the set starts from ``_start``, which the operation that
+    made the set records, and never from the set's own basis.
     """
 
-    __slots__ = ("G", "c", "A", "b", "_cache", "_start", "_slice_rays")
+    __slots__ = ("G", "c", "A", "b", "_cache", "_start", "_optimal_basis", "_slice_families")
 
     def __init__(self, G, c, A=None, b=None):
         c = np.asarray(c, dtype=float).ravel()
@@ -210,11 +227,15 @@ class ConstrainedZonotope:
         self.b = b
         self._cache = {}
         # the start of every LP on this set, set once by the operation
-        # that made it (``_offered_start``); None runs them cold
+        # that made it (``_offered_start``; ``slice_min_cost`` gives its
+        # slice the family's last optimum); None runs them cold
         self._start = None
-        # the certified rays of this set's empty slices, per (dims, tol)
-        # (``slice_min_cost``)
-        self._slice_rays = {}
+        # HiGHS's basis of the last support LP on this set that ended
+        # optimal, which ``slice_min_cost`` keeps from its slices
+        self._optimal_basis = None
+        # the last optimal basis and the certified rays of this set's
+        # slice LPs, per (dims, tol) family (``slice_min_cost``)
+        self._slice_families = {}
 
     # -- representation queries ------------------------------------------
 
@@ -381,19 +402,24 @@ class ConstrainedZonotope:
         values, tol)``, or None when that slice is empty.
 
         The slices of one (dims, tol) family have the same rows and column
-        bounds and differ only in the pinned right-hand sides.  So a Farkas
-        ray that proved one of them empty may prove another empty too: the
-        set keeps the certified ray of each of its slice LPs that ended
-        infeasible (``_SliceRays``), and checks each kept ray against a new
-        slice's program before the slice is built.  The check is
-        ``lp.farkas_certifies`` on that program, with the terms that read
-        only its rows kept from the ray's own slice.  A ray that passes
-        proves that no point meets the program's rows within
-        ``lp.FEAS_TOL``, so the answer is None with no slice and no LP;
-        otherwise the slice is built and its support LP runs as
-        ``support`` runs it, from the slice's start.  Kept rays decide
-        which LPs run; they never change a value, and settle as empty only
-        a slice whose own LP would not have ended optimal.
+        bounds and differ only in the pinned right-hand sides, and the set
+        keeps what their LPs found (``_SliceFamily``).  A Farkas ray that
+        proved one of them empty may prove another empty too: each kept
+        ray is checked against a new slice's program before the slice is
+        built, by ``lp.farkas_certifies`` on that program with the terms
+        that read only its rows kept from the ray's own slice.  A ray that
+        passes proves that no point meets the program's rows within
+        ``lp.FEAS_TOL``, so the answer is None with no slice and no LP.
+        Otherwise the slice is built and its support LP runs as
+        ``support`` runs it, from the optimal basis of the family's last
+        LP that ended optimal, or from the slice's start when the family
+        has none.  Only b differs between the slices, so that basis is
+        dual feasible for this LP too, and dual simplex repairs only the
+        pinned rows.  So a value depends on the slice LPs of the family
+        before it, by rounding only; a verdict does not, as an optimal
+        point passes the OPTIMAL recheck and a ray the Farkas check,
+        whatever the start.  Kept rays decide which LPs run and settle as
+        empty only a slice whose own LP would not have ended optimal.
         """
         dims = np.asarray(dims, dtype=int).ravel()
         values = np.asarray(values, dtype=float).ravel()
@@ -401,22 +427,36 @@ class ConstrainedZonotope:
             raise ValueError("slice index/value length mismatch")
         key = (tuple(dims.tolist()), float(tol))
         with _MEMO_LOCK:
-            family = self._slice_rays.get(key)
+            family = self._slice_families.get(key)
             rays = () if family is None else tuple(family.rays)
+            start = None if family is None else family.basis
         if rays and family.settle(values - self.c[dims], rays):
             return None
         sliced = self.slice(dims, values, tol)
+        if start is not None:
+            sliced._start = start
         try:
-            return -sliced.support(min_cost_direction(self.dim))
+            value = -sliced.support(min_cost_direction(self.dim))
         except EmptySetError as empty:
             if empty.ray is not None:
                 program = sliced.cached("support_lp", sliced._support_program)
                 ray = farkas_ray(program.A, program.lb, program.ub, empty.ray)
                 with _MEMO_LOCK:
-                    if key not in self._slice_rays:
-                        self._slice_rays[key] = _SliceRays(program, dims.size)
-                    self._slice_rays[key].rays.append(ray)
+                    self._slice_family(key, program, dims.size).rays.append(ray)
             return None
+        program = sliced.cached("support_lp", sliced._support_program)
+        with _MEMO_LOCK:
+            self._slice_family(key, program, dims.size).basis = sliced._optimal_basis
+        return value
+
+    def _slice_family(self, key, program: LinearProgram, m: int) -> _SliceFamily:
+        """The record of the slice family under key, made from the support
+        program of one of its slices when it is new; the caller holds
+        _MEMO_LOCK."""
+        family = self._slice_families.get(key)
+        if family is None:
+            family = self._slice_families[key] = _SliceFamily(program, m)
+        return family
 
     def _offered_start(self) -> Optional[LpBasis]:
         """The start this set hands to the sets made from it: its own
@@ -523,6 +563,7 @@ class ConstrainedZonotope:
             raise EmptySetError("support query on an empty set", sol.ray)
         if sol.status != LpStatus.OPTIMAL:
             raise LpError(f"support LP ended with status {sol.status}")
+        self._optimal_basis = sol.highs_basis
         return eta, sol
 
     def support(self, eta) -> float:

@@ -10,17 +10,22 @@ that keeps two landing sites reachable as long as possible, and a
 Monte Carlo harness for the robust configuration.
 
 Every LP here starts from a basis built from the canonical bases that
-the tube sets and the control set carry, as ``cztube.czset`` sets out;
-no query computes one, so answers do not depend on query order.  The
-horizon scan skips the LPs of sets that a kept Farkas ray proves do not
-contain the state (``optimal_horizon``), so the work of a scan, unlike
-its answer, depends on the scans before it.
+the tube sets and the control set carry, as ``cztube.czset`` sets out,
+and no query computes one, with one exception: each tube set's slice LP
+in the horizon scan continues from the optimal basis of that set's last
+one.  So a scan's costs depend on the scans before it on the same tube,
+by rounding only, and the same sequence of scans repeats them bitwise;
+its containing indices do not, nor does any one-step LP.  The
+scan also skips the LPs of sets that a kept Farkas ray proves do not
+contain the state (``optimal_horizon``), so its work depends on the
+scans before it too.
 """
 
 from __future__ import annotations
 
 import copy
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -99,9 +104,11 @@ def _min_cost_at_state(cs: ConstrainedZonotope, x_i: np.ndarray, tol: float = SL
     """Left endpoint of the cost interval of CS sliced at the physical state,
     or None when the state is not contained (``slice_min_cost``).
 
-    The support query on the slice starts from CS's canonical basis, or
-    from CS's own start when CS has not settled one; a state that a ray
-    kept from an earlier query proves outside CS costs no LP."""
+    The support query on the slice starts from the optimal basis of
+    CS's last slice LP at this tol, and the first one from CS's
+    canonical basis, or from CS's own start when CS has not settled one;
+    a state that a ray kept from an earlier query proves outside CS
+    costs no LP."""
     return cs.slice_min_cost(np.arange(STATE_DIM - 1), x_i, tol=tol)
 
 
@@ -129,10 +136,13 @@ def optimal_horizon(x_i, tube: ControllableTube, tol: float = SLICE_TOL) -> Hori
     Scans every index for containment, reads off the minimum achievable
     cost-to-go at each, and picks the cheapest; cost ties go to the
     larger index (shorter remaining horizon).  Each tube set keeps the
-    Farkas rays that proved earlier states outside it
-    (``ConstrainedZonotope.slice_min_cost``), and a state that one of them
-    proves outside costs no LP.  So the work of a scan depends on the
-    scans before it on the same tube; its answer does not.
+    Farkas rays that proved earlier states outside it, and a state that
+    one of them proves outside costs no LP; a set's slice LP continues
+    from the optimum of its last one (``slice_min_cost``).  So the work
+    of a scan depends on the scans before it on the same tube, and so do
+    its costs, by rounding only.  Its containing indices do not, nor
+    does k* but where a cost lies within rounding of the tie bound
+    c* + TIE_TOL.
     """
     x_i = np.asarray(x_i, dtype=float).ravel()
     return _horizon_scan(tube.sets, x_i, tol, "initial state is outside every controllable set")
@@ -508,6 +518,26 @@ def _thread_count() -> int:
     return os.cpu_count() or 1
 
 
+def _normal_factor(cov) -> np.ndarray:
+    """The factor F = u sqrt(s) of cov = u diag(s) vh (SVD) that NumPy's
+    ``Generator.multivariate_normal`` makes on every draw, so that
+    ``_draw(rng, F)`` is bitwise its draw from the same stream.  Warns as
+    it does when cov is not symmetric positive-semidefinite."""
+    cov = np.asarray(cov, dtype=float)
+    u, s, vh = np.linalg.svd(cov)
+    if not np.allclose(np.dot(vh.T * s, vh), cov, rtol=1e-8, atol=1e-8):
+        warnings.warn("covariance is not symmetric positive-semidefinite.", RuntimeWarning,
+                      stacklevel=2)
+    return u * np.sqrt(s)
+
+
+def _draw(rng: np.random.Generator, factor: np.ndarray) -> np.ndarray:
+    """One zero-mean normal draw with covariance factor @ factor.T, in
+    the shapes and order of operations of NumPy's multivariate_normal."""
+    n = factor.shape[0]
+    return (np.zeros(n) + rng.standard_normal((1, n)) @ factor.T).reshape(n)
+
+
 def monte_carlo(
     scn: LandingScenario,
     tube: ControllableTube,
@@ -528,7 +558,10 @@ def monte_carlo(
     Success requires the true terminal state inside the full-dimensional
     terminal set.  Trials run in a thread pool (``_thread_count``
     workers); each trial's random stream depends only on (master_seed,
-    trial index), so results do not depend on the pool size.
+    trial index), so results do not depend on the pool size.  Each noise
+    covariance is factored once per call, before the trials, and every
+    draw is bitwise the one NumPy's ``multivariate_normal`` makes from
+    the same stream (``_normal_factor``).
 
     Step k steers into the tube's step-k eroded target
     (``ControllableTube.eroded``, made offline by ``robust_recursion``),
@@ -545,20 +578,23 @@ def monte_carlo(
         raise ValueError(f"no eroded target for step {missing[0]}; "
                          "rebuild the tube with `cztube build-tube --robust`")
 
+    # each noise covariance is factored once per call, not once per draw
+    nav_factors = {k: _normal_factor(model.sigma_x(k, N)) for k in range(1, N)}
+    exec_factor = _normal_factor(model.Sigma_u) if model.n_u else None
+
     def run_trial(t: int) -> TrialResult:
         rng = np.random.default_rng([master_seed, t])
         y = np.concatenate([scn.initial_state(), [0.0]])
         for k in range(1, N):
-            w_x = rng.multivariate_normal(np.zeros(model.n_x), model.sigma_x(k, N))
+            w_x = _draw(rng, nav_factors[k])
             estimate = y + model.E_w_x @ w_x
             try:
                 command, _, c_k = one_step_ocp(estimate, eroded[k], control_set_robust, dyn)
             except InfeasibleError:
                 return TrialResult(t, master_seed, False, None, None, failure_step=k)
             applied = command
-            if model.n_u:  # NumPy cannot sample a 0-dim normal
-                w_u = rng.multivariate_normal(np.zeros(model.n_u), model.Sigma_u)
-                applied = command + model.E_w_u @ w_u
+            if exec_factor is not None:  # a model may have no execution noise
+                applied = command + model.E_w_u @ _draw(rng, exec_factor)
             y[-1] = c_k
             y = dyn.step(y, applied)
         ok = terminal_set_fulldim.contains_point(y, tol=START_TOL)

@@ -29,9 +29,10 @@ There are two algorithms: dual simplex without presolve ("highs") and
 the interior-point method ("highs-ipm").  A solution is the primal
 point, its objective and, after simplex, its basis; no duals are read.
 
-Simplex can start from a given basis (``LpBasis``; an optimal simplex
-run reports its own).  Which basis each LP starts from is set out once,
-in ``cztube.czset``.  The checks above apply unchanged to a warm run,
+Simplex can start from a given basis: an ``LpBasis``, or the HiGHS
+basis an optimal simplex run reports (``LpSolution.highs_basis``), taken
+as it is.  Which basis each LP starts from is set out once, in
+``cztube.czset``.  The checks above apply unchanged to a warm run,
 and its retry runs cold.  HiGHS picks the simplex variant of a warm run
 from the start it is given: primal simplex from a primal feasible
 basis, dual simplex otherwise.  Cold runs use dual simplex.
@@ -54,7 +55,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -228,10 +229,15 @@ class LpBasis:
         return LpBasis(tuple(statuses[:n_cols]), tuple(statuses[n_cols:]))
 
 
+# a simplex start: an LpBasis, or HiGHS's basis of an optimal run
+Start = Union[LpBasis, highs.HighsBasis]
+
+
 @dataclass
 class LpSolution:
     """Outcome of ``solve_lp``: the status and, when OPTIMAL, the point,
-    its objective value and the HiGHS basis of a simplex run.  When
+    its objective value and the HiGHS basis of a simplex run, which
+    ``solve_lp`` takes back as a start as it is.  When
     INFEASIBLE, ``ray`` is the Farkas ray that ``farkas_certifies``
     accepted, and None when the verdict came by inspection (contradictory
     column bounds or a single row)."""
@@ -239,7 +245,7 @@ class LpSolution:
     status: LpStatus
     x_opt: Optional[np.ndarray] = None
     objective_value: Optional[float] = None
-    highs_basis: Optional[object] = field(default=None, repr=False)
+    highs_basis: Optional[highs.HighsBasis] = field(default=None, repr=False)
     ray: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
@@ -390,6 +396,19 @@ class HighsRun:
     basis: Optional[object] = None
 
 
+def _highs_start(basis: Start):
+    """basis as HiGHS's own basis object: an ``LpBasis`` converted, a
+    HiGHS basis as it is."""
+    if not isinstance(basis, LpBasis):
+        return basis
+    start = highs.HighsBasis()
+    start.col_status = list(basis.cols)
+    start.row_status = list(basis.rows)
+    start.valid = True
+    start.alien = False
+    return start
+
+
 # Per thread: ``model``, the held model of the last simplex run, and
 # ``rows``, the ids of the last LP's rows (see ``linprog``)
 _HELD = threading.local()
@@ -436,20 +455,25 @@ def _fresh_model(prob: LinearProgram, options: dict):
     return None if passed == highs.HighsStatus.kError else solver
 
 
-def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis] = None) -> HighsRun:
+def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[Start] = None) -> HighsRun:
     """One HiGHS run on prob; the only place the solver is called.
 
     "highs" runs dual simplex with presolve off, so an infeasibility
     verdict comes with the simplex's own dual ray at no extra cost, and
     an optimal run reports its primal point and basis.  A given ``basis``
-    is the simplex's starting basis (HiGHS ``setBasis``), and HiGHS then
-    chooses the simplex variant: from a basis that is dual feasible for
-    prob, dual simplex repairs only the primal infeasibilities; from one
-    that is primal feasible, primal simplex only improves the objective.
-    "highs-ipm" runs the interior-point method (presolve and crossover
-    at their defaults); it ignores ``basis`` and yields no ray.  No run
-    reads duals.  The name is the one the benchmark's tracer
-    (bench/tracing.py) times as the backend call.
+    is the simplex's starting basis (HiGHS ``setBasis``): an ``LpBasis``,
+    or HiGHS's own basis of an optimal run on a program of the same
+    shape (``HighsRun.basis``, ``LpSolution.highs_basis``), which is set
+    as it is, with no conversion.  HiGHS then chooses the simplex
+    variant: from a basis that is dual feasible for prob, dual simplex
+    repairs only the primal infeasibilities; from one that is primal
+    feasible, primal simplex only improves the objective.  ValueError
+    when HiGHS rejects the start, as it does one of another shape or
+    with other than one basic entry per row.  "highs-ipm" runs the
+    interior-point method (presolve and crossover at their defaults); it
+    ignores ``basis`` and yields no ray.  No run reads duals.  The name
+    is the one the benchmark's tracer (bench/tracing.py) times as the
+    backend call.
 
     Each thread holds the model of its last simplex run when that run's
     LP had the rows of the thread's LP before it, so only a run of LPs
@@ -469,8 +493,6 @@ def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis]
     A = prob.A
     simplex = method != "highs-ipm"
     warm = basis is not None and simplex
-    if warm and (len(basis.cols) != prob.n_vars or len(basis.rows) != A.shape[0]):
-        raise ValueError("starting basis does not match the program's shape")
     options = {**_COMMON_OPTIONS, **_METHODS[method], **(_WARM_OPTIONS if warm else {})}
     held = getattr(_HELD, "model", None)
     if held is not None and held.serves(prob, options):
@@ -485,14 +507,8 @@ def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis]
         solver = _fresh_model(prob, options)
         if solver is None:
             return HighsRun(highs.HighsModelStatus.kModelError, 0)
-        if warm:
-            start = highs.HighsBasis()
-            start.col_status = list(basis.cols)
-            start.row_status = list(basis.rows)
-            start.valid = True
-            start.alien = False
-            if solver.setBasis(start) == highs.HighsStatus.kError:
-                return HighsRun(highs.HighsModelStatus.kModelError, 0)
+        if warm and solver.setBasis(_highs_start(basis)) == highs.HighsStatus.kError:
+            raise ValueError("starting basis does not match the program")
     solver.run()
     status = solver.getModelStatus()
     info = solver.getInfo()
@@ -515,7 +531,7 @@ def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis]
     return run
 
 
-def solve_lp(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis] = None) -> LpSolution:
+def solve_lp(prob: LinearProgram, method: str = "highs", basis: Optional[Start] = None) -> LpSolution:
     """Solve an LP, classifying the outcome.
 
     method selects the HiGHS algorithm: "highs" runs dual simplex without
@@ -523,9 +539,9 @@ def solve_lp(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis
     faster on the large sparse programs built by the set-erosion
     routine.
 
-    basis warm-starts simplex (IPM ignores it); callers pass the bases
-    that ``cztube.czset`` sets out, and any nonsingular basis is a valid
-    start.  A warm start changes how the solver gets to its verdict, not
+    basis warm-starts simplex (IPM ignores it), as in ``linprog``;
+    callers pass the bases that ``cztube.czset`` sets out, and any
+    nonsingular basis is a valid start.  A warm start changes how the solver gets to its verdict, not
     how the verdict is checked.
 
     The contract on the result:
@@ -561,7 +577,7 @@ def solve_lp(prob: LinearProgram, method: str = "highs", basis: Optional[LpBasis
     return sol
 
 
-def _solve_once(prob: LinearProgram, method: str, basis: Optional[LpBasis] = None) -> LpSolution:
+def _solve_once(prob: LinearProgram, method: str, basis: Optional[Start] = None) -> LpSolution:
     if np.any(prob.lb > prob.ub):
         return LpSolution(LpStatus.INFEASIBLE)
     if prob.n_vars == 0:

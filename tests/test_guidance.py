@@ -1,6 +1,9 @@
 """Tests for the online guidance layer: horizon selection, one-step
 control, rollouts, reachable sets, deferred decisions, and Monte Carlo."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -411,9 +414,25 @@ def test_rollout_solves_no_lp_on_the_control_set(det_toy, monkeypatch):
     assert on_u == []
 
 
+def _assert_same_scan(got, ref, msg=""):
+    """got and ref, answers of ``_scan``, name the same containing sets
+    and k*, and their costs and c* agree within FEAS_TOL * max(1, |c|):
+    a set's slice LP continues from the optimum of its last one, so a
+    scan's costs depend on the scans before it, by rounding only."""
+    if not isinstance(ref, guidance.HorizonQuery):
+        assert got == ref, msg
+        return
+    assert isinstance(got, guidance.HorizonQuery), msg
+    assert got.containment_indices == ref.containment_indices, msg
+    assert got.k_star == ref.k_star, msg
+    for c, r in zip([got.c_star, *got.costs.values()], [ref.c_star, *ref.costs.values()]):
+        assert abs(c - r) <= FEAS_TOL * max(1.0, abs(r)), msg
+
+
 def test_scan_and_step_are_independent_of_query_history(det_toy):
-    # queries from state A first leave state B's answers bitwise as they
-    # are when B is queried alone on a fresh copy of the tube
+    # queries from state A first leave state B's containing sets, k* and
+    # trajectory bitwise as they are when B is queried alone on a fresh
+    # copy of the tube, and its costs equal within FEAS_TOL
     scn, dyn, X, U, Xf, tube = det_toy
     x_a = scn.initial_state()
     x_b = x_a + np.array([3.0, -2.0, 1.0, 0.2, -0.1, 0.1, 0.0])
@@ -424,7 +443,7 @@ def test_scan_and_step_are_independent_of_query_history(det_toy):
     alone = _fresh(tube)
     hq_alone = optimal_horizon(x_b, alone)
     log_alone = forward_rollout(x_b, alone, U, dyn, start=hq_alone)
-    assert hq_b == hq_alone
+    _assert_same_scan(hq_b, hq_alone)
     assert len(log_b.records) == len(log_alone.records)
     for r, q in zip(log_b.records, log_alone.records):
         assert r.k == q.k
@@ -491,10 +510,11 @@ def _boundary_starts(scn, tube):
 
 
 def test_kept_rays_leave_every_scan_answer_as_a_fresh_tube_gives(det_toy):
-    # a tube whose sets keep the rays of every scan before gives each
-    # start the answer that a fresh copy of the tube gives it: over
-    # seeded det-guidance starts, starts straddling a slice boundary, and
-    # starts inside a set that an earlier start was rejected by
+    # a tube whose sets keep the rays and last optima of every scan
+    # before gives each start the answer that a fresh copy of the tube
+    # gives it, with costs equal within FEAS_TOL: over seeded
+    # det-guidance starts, starts straddling a slice boundary, and starts
+    # inside a set that an earlier start was rejected by
     scn, dyn, X, U, Xf, tube = det_toy
     k, edge = _boundary_starts(scn, tube)
     starts = _jittered_starts(scn, 17, 12) + edge + _jittered_starts(scn, 18, 12)
@@ -502,7 +522,7 @@ def test_kept_rays_leave_every_scan_answer_as_a_fresh_tube_gives(det_toy):
     rejected, inside_after_a_rejection, edge_holds = set(), set(), []
     for i, x in enumerate(starts):
         hq = _scan(x, carrying)
-        assert hq == _scan(x, _fresh(tube)), f"start {i}"
+        _assert_same_scan(hq, _scan(x, _fresh(tube)), f"start {i}")
         held = set(hq.containment_indices) if isinstance(hq, guidance.HorizonQuery) else set()
         if hq != "failure":
             inside_after_a_rejection |= held & rejected
@@ -517,7 +537,8 @@ def test_kept_rays_leave_every_scan_answer_as_a_fresh_tube_gives(det_toy):
 def test_a_repeated_start_solves_only_its_containing_sets_lps(det_toy, monkeypatch):
     # once a start has been scanned, each set that rejected it holds a ray
     # that proves the rejection again, so the scan solves one LP per
-    # containing set and none for the rest
+    # containing set and none for the rest, and gives the first answer
+    # again, its costs within FEAS_TOL
     scn, dyn, X, U, Xf, tube = det_toy
     carrying = _fresh(tube)
     starts = _jittered_starts(scn, 19, 4)
@@ -533,8 +554,93 @@ def test_a_repeated_start_solves_only_its_containing_sets_lps(det_toy, monkeypat
     for x, hq in zip(starts, first):
         assert hq is not None and len(hq.containment_indices) < tube.N
         runs.clear()
-        assert optimal_horizon(x, carrying) == hq
+        _assert_same_scan(optimal_horizon(x, carrying), hq)
         assert len(runs) == len(hq.containment_indices)
+
+
+# -- hot slice LPs ----------------------------------------------------------
+
+
+def test_a_scan_sequence_repeats_bitwise_on_fresh_tubes(det_toy):
+    # each set's slice LP continues from its last optimum, so a scan's
+    # costs depend on the scans before it; the same sequence of scans on
+    # two fresh copies of the tube gives bitwise the same answers
+    scn, dyn, X, U, Xf, tube = det_toy
+    starts = _jittered_starts(scn, 23, 10) + [scn.initial_state()] * 2
+    first, second = _fresh(tube), _fresh(tube)
+    answers = [_scan(x, first) for x in starts]
+    assert any(isinstance(hq, guidance.HorizonQuery) for hq in answers)
+    assert [_scan(x, second) for x in starts] == answers
+
+
+def test_a_nearby_start_continues_from_the_last_slice_optimum(det_toy, monkeypatch):
+    # after a scan, the same start again takes no simplex iteration in any
+    # containing set's slice LP, and a nearby start fewer than the first
+    # scan took in each
+    scn, dyn, X, U, Xf, tube = det_toy
+    runs = []
+    backend = lp.linprog
+
+    def spy(prob, method="highs", basis=None):
+        run = backend(prob, method, basis)
+        if run.status == lp.highs.HighsModelStatus.kOptimal:
+            runs.append((prob.n_vars, run.nit))
+        return run
+
+    monkeypatch.setattr(lp, "linprog", spy)
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        carrying = _fresh(tube)
+        x = scn.initial_state() + rng.uniform(-1.0, 1.0, 7) * JITTER * 0.01
+        nearby = x + rng.uniform(-1.0, 1.0, 7) * JITTER * 0.01
+        scans = []
+        for y in (x, x, nearby):
+            runs.clear()
+            hq = optimal_horizon(y, carrying)
+            assert len(runs) == len(hq.containment_indices)
+            scans.append(dict(runs))
+        cold, repeated, near = scans
+        assert min(cold.values()) > 0
+        assert set(repeated.values()) == {0}
+        assert near.keys() == cold.keys()
+        assert all(near[n] < cold[n] for n in cold)
+
+
+def test_threads_scanning_one_tube_give_the_serial_answers(det_toy):
+    # more threads than cores scan the same starts on one tube, half of
+    # them in reverse order, while each set's slice LPs start from
+    # whichever optimum another thread left: every answer names the
+    # containing sets and k* that one thread scanning a fresh tube gives,
+    # with costs within FEAS_TOL
+    scn, dyn, X, U, Xf, tube = det_toy
+    starts = _jittered_starts(scn, 31, 8)
+    serial_tube = _fresh(tube)
+    serial = [_scan(x, serial_tube) for x in starts]
+    shared = _fresh(tube)
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def worker(i):
+        barrier.wait(timeout=10)
+        order = starts if i % 2 == 0 else starts[::-1]
+        answers = [_scan(x, shared) for x in order]
+        results[i] = answers if i % 2 == 0 else answers[::-1]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert any(isinstance(hq, guidance.HorizonQuery) for hq in serial)
+    for answers in results:
+        for i, (got, ref) in enumerate(zip(answers, serial)):
+            _assert_same_scan(got, ref, f"start {i}")
 
 
 def test_kept_rays_are_checked_as_on_the_built_slice(det_toy, monkeypatch):
@@ -549,7 +655,7 @@ def test_kept_rays_are_checked_as_on_the_built_slice(det_toy, monkeypatch):
     for x in starts:
         _scan(x, carrying)
     dims, key = np.arange(7), (tuple(range(7)), SLICE_TOL)
-    families = [(Z, Z._slice_rays[key]) for Z in carrying.sets if key in Z._slice_rays]
+    families = [(Z, Z._slice_families[key]) for Z in carrying.sets if key in Z._slice_families]
     assert families
     verdicts = set()
     for Z, family in families:
@@ -973,6 +1079,35 @@ def test_monte_carlo_runs_without_an_execution_noise_channel(robust_toy):
                      eroded=sink)
     assert [r.trial for r in mc.results] == [0, 1]
     assert mc.successes == 2
+
+
+def test_monte_carlo_draws_are_numpys_multivariate_normal_draws(robust_toy, monkeypatch):
+    # each covariance is factored once per call, and every draw from its
+    # factor is bitwise NumPy's multivariate_normal draw, leaving the
+    # stream where it leaves it; a covariance that is not positive
+    # semidefinite still warns, once, when it is factored
+    scn, dyn, model, sched, U_rob, Tf, tube, sink = robust_toy
+    covariances = [model.sigma_x(k, tube.N) for k in range(1, tube.N)] + [model.Sigma_u]
+    for i, cov in enumerate(covariances):
+        factor = guidance._normal_factor(cov)
+        ours, numpys = np.random.default_rng([5, i]), np.random.default_rng([5, i])
+        for _ in range(4):
+            got = guidance._draw(ours, factor)
+            want = numpys.multivariate_normal(np.zeros(cov.shape[0]), cov)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == numpys.bit_generator.state
+    with pytest.warns(RuntimeWarning, match="positive-semidefinite"):
+        guidance._normal_factor(np.diag([1.0, -1.0]))
+    factored = []
+    factor = guidance._normal_factor
+
+    def spy(cov):
+        factored.append(cov)
+        return factor(cov)
+
+    monkeypatch.setattr(guidance, "_normal_factor", spy)
+    monte_carlo(scn, tube, model, sched, U_rob, Tf, dyn, trials=3, master_seed=5, eroded=sink)
+    assert len(factored) == len(covariances)
 
 
 def test_monte_carlo_trial_results_carry_metadata(robust_toy):

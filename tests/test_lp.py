@@ -542,11 +542,30 @@ def test_warm_start_from_a_primal_feasible_basis():
         assert _feasibility_residual(prob, warm.x_opt) <= FEAS_TOL
 
 
+def test_highs_basis_starts_as_the_lp_basis_it_converts_to():
+    # HiGHS's own basis of an optimum is set as it is: the run from it is
+    # the run from its LpBasis, for a nearby right-hand side
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        at, f0 = _rhs_family(rng, n=30, m=12)
+        sol = solve_lp(at(f0))
+        prob = at(f0 + 0.1 * rng.normal(size=f0.size))
+        raw = lp.linprog(prob, "highs", sol.highs_basis)
+        converted = lp.linprog(prob, "highs", sol.basis)
+        assert raw.status == converted.status and raw.nit == converted.nit
+        if raw.x is not None:
+            assert np.array_equal(raw.x, converted.x)
+
+
 def test_basis_of_the_wrong_shape_is_rejected():
     at, f = _rhs_family(np.random.default_rng(24))
-    basis = solve_lp(at(f)).basis
+    sol = solve_lp(at(f))
+    basis = sol.basis
     with pytest.raises(ValueError):
         solve_lp(at(f), basis=LpBasis(basis.cols[:-1], basis.rows))
+    other, g = _rhs_family(np.random.default_rng(24), n=11)
+    with pytest.raises(ValueError):
+        solve_lp(other(g), basis=sol.highs_basis)
 
 
 def test_failure_with_a_basis_is_retried_cold(monkeypatch):

@@ -1,6 +1,8 @@
 """Guards over the package sources: no import goes unused, no
 module-level private function or class goes unreferenced, only
-``cztube.lp`` makes HiGHS models, and only ``cztube.tube`` erodes."""
+``cztube.lp`` makes HiGHS models and sets their starts, no module draws
+through NumPy's ``multivariate_normal``, and only ``cztube.tube``
+erodes."""
 
 import ast
 from pathlib import Path
@@ -71,11 +73,20 @@ def test_every_private_definition_is_referenced():
 
 
 def test_only_the_lp_module_builds_solver_models():
-    # one backend: HiGHS models are made, filled, restarted and re-costed
-    # in cztube.lp alone
+    # one backend: HiGHS models are made, filled, restarted, re-costed
+    # and given their start bases in cztube.lp alone; a caller hands lp
+    # an LpBasis or HiGHS's own basis of an earlier optimum
     solver_calls = {"_Highs", "passModel", "changeColsCost", "setBasis", "clearSolver"}
     holders = {name for name, tree in _modules().items() if solver_calls & _references(tree)}
     assert holders == {"lp.py"}
+
+
+def test_monte_carlo_factors_its_covariances_itself():
+    # guidance draws its noise from covariance factors made once per call,
+    # not through NumPy's multivariate_normal, which factors on every draw
+    holders = {name for name, tree in _modules().items()
+               if "multivariate_normal" in _references(tree)}
+    assert holders == set()
 
 
 def test_only_the_tube_module_erodes():
