@@ -335,20 +335,21 @@ def cmd_reach(args) -> int:
     return EXIT_OK
 
 
-MC_HEADER = ["trial", "seed", "success", "failure_step", "term_rx", "term_ry", "term_rz",
-             "term_vx", "term_vy", "term_vz", "fuel_kg"]
+MC_HEADER = ["trial", "seed", "success", "failure_step", "failure_reason", "term_rx",
+             "term_ry", "term_rz", "term_vx", "term_vy", "term_vz", "fuel_kg"]
 
 
 def _montecarlo_rows(summary):
     """One MC_HEADER row per trial.  failure_step is the step whose
     one-step LP was infeasible, and then the terminal state and fuel are
     empty; it is empty for a trial that ran to the end, which failed
-    (success 0) if it missed the terminal set."""
+    (success 0) if it missed the terminal set.  failure_reason says which
+    (``guidance.TrialResult``) and is empty for a trial that landed."""
     rows = []
     for r in summary.results:
         term = r.terminal_state if r.terminal_state is not None else [None] * 8
         rows.append(
-            [r.trial, r.seed, int(r.success), r.failure_step]
+            [r.trial, r.seed, int(r.success), r.failure_step, r.failure_reason]
             + [None if term[i] is None else float(term[i]) for i in range(6)]
             + [None if r.fuel_kg is None else float(r.fuel_kg)]
         )

@@ -23,7 +23,16 @@ direction.  Any other set records none, and its LPs run cold, as do
 containment LPs.  The online LPs are LPs on such sets (the horizon
 scan's and the divert footprint's slices, the decision-deferral
 intersections), and the one-step LP starts from the next tube set's and
-the control set's bases joined (``guidance._OneStepModel``).
+the control set's bases joined (``guidance._OneStepModel``).  Monte
+Carlo's one-step LPs are the one exception to that start: step k starts
+from a fixed anchor, the optimal basis of step k's LP on one noise-free
+pass from the scenario's initial state, memoized on the target set
+under (control set, dynamics, pinned state) and factored
+(``lp.FactoredStart``, ``guidance._NominalAnchors``).  An anchor is a
+pure function of the call's inputs, never of earlier trials or of the
+thread schedule; a trial state in its critical region is answered from
+the factors with no HiGHS run.  Robust one-step LPs have tied optima, so
+the anchor decides which optimal control a trial applies.
 
 Two families of LPs continue from the queries before them.  A set's
 support LPs are copies of one program (``_support_lp``), and the LP
@@ -46,9 +55,9 @@ empty set infeasible with a checked ray, whatever its start.  The same
 sequence of queries repeats every answer bitwise.  The emptiness LP is
 the min-cost support LP, and the code that makes a set for repeated
 queries settles it first, on a model of its own.  Every other LP
-(one-step and containment LPs) builds its own model from the start set
-out above and reads no earlier query, so its answer depends on the set
-and its start alone.
+(one-step and containment LPs) builds its own model, or none, from the
+start set out above and reads no earlier query, so its answer depends on
+the set and its start alone.
 
 The work a query does depends on the queries before it in one more way,
 which changes no value.  A set keeps the certified Farkas ray of each of
@@ -583,10 +592,29 @@ class ConstrainedZonotope:
         return r is not None and r <= tol
 
     def containment_residual(self, y):
-        """Minimal inf-norm distance from y to the set, None if empty."""
+        """Minimal inf-norm distance from y to the set, None if empty.
+
+        The LP is a copy of the set's one containment program, built once,
+        with the point's own right-hand sides and row scales."""
         y = np.asarray(y, dtype=float).ravel()
+        program, norms = self.cached("containment_lp", self._containment_program)
+        prob = copy.copy(program)
+        prob.g = np.concatenate([y - self.c, self.c - y])
+        prob.row_hi = np.concatenate([prob.g, prob.f])
+        prob.row_scale = row_scale(norms, prob.row_hi)
+        sol = solve_lp(prob)
+        if sol.status == LpStatus.INFEASIBLE:
+            return None
+        if sol.status != LpStatus.OPTIMAL:
+            raise LpError(f"containment LP ended with status {sol.status}")
+        return float(sol.objective_value)
+
+    def _containment_program(self):
+        """The containment LP at y = c, and its row norms: variables
+        (xi, t), minimize t s.t. |G xi + c - y| <= t, latent feasible.
+        Only the right-hand sides of its 2n rows |G xi + c - y| <= t, and
+        so their row scales, depend on y."""
         n_g, n = self.n_generators, self.dim
-        # variables (xi, t): minimize t s.t. |G xi + c - y| <= t, latent feasible
         c_obj = np.zeros(n_g + 1)
         c_obj[-1] = 1.0
         E = sp.hstack([self.A, sp.csr_matrix((self.A.shape[0], 1))], format="csr")
@@ -595,15 +623,10 @@ class ConstrainedZonotope:
         H = sp.vstack(
             [sp.hstack([Gs, -ones]), sp.hstack([-Gs, -ones])], format="csr"
         )
-        g = np.concatenate([y - self.c, self.c - y])
         lb = np.concatenate([-np.ones(n_g), [0.0]])
         ub = np.concatenate([np.ones(n_g), [np.inf]])
-        sol = solve_lp(LinearProgram(c_obj, E, self.b, H, g, lb, ub))
-        if sol.status == LpStatus.INFEASIBLE:
-            return None
-        if sol.status != LpStatus.OPTIMAL:
-            raise LpError(f"containment LP ended with status {sol.status}")
-        return float(sol.objective_value)
+        program = LinearProgram(c_obj, E, self.b, H, np.zeros(2 * n), lb, ub)
+        return program, row_norms(program.A)
 
     def interval_hull(self):
         lo = np.empty(self.dim)

@@ -9,33 +9,47 @@ translation-invariant horizontal subspace, a decision-deferral rollout
 that keeps two landing sites reachable as long as possible, and a
 Monte Carlo harness for the robust configuration.
 
-Every LP here starts from a basis built from the canonical bases that
-the tube sets and the control set carry, as ``cztube.czset`` sets out,
-and no query computes one, with one exception: each tube set's slice LP
-in the horizon scan continues from the optimal basis of that set's last
-one.  So a scan's costs depend on the scans before it on the same tube,
-by rounding only, and the same sequence of scans repeats them bitwise;
-its containing indices do not, nor does any one-step LP.  The
-scan also skips the LPs of sets that a kept Farkas ray proves do not
-contain the state (``optimal_horizon``), so its work depends on the
-scans before it too.
+Every LP here starts as ``cztube.czset`` sets out, from a basis built
+from the canonical bases that the tube sets and the control set carry,
+with two exceptions.  Each tube set's slice LP in the horizon scan
+continues from the optimal basis of that set's last one, so a scan's
+costs depend on the scans before it on the same tube, by rounding only,
+and the same sequence of scans repeats them bitwise; its containing
+indices do not.  The scan also skips the LPs of sets that a kept Farkas
+ray proves do not contain the state (``optimal_horizon``), so its work
+depends on the scans before it too.  And Monte Carlo's one-step LPs
+start from fixed anchors, the factored optimal bases of one noise-free
+pass (``_NominalAnchors``), which depend on the call's inputs alone.
+The rollouts' one-step LPs read no earlier query.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .czset import ConstrainedZonotope
 from .landing import STATE_DIM, DiscreteDynamics, LandingScenario
-from .lp import BASIC, NONBASIC, LinearProgram, LpBasis, LpError, LpStatus, solve_lp
+from .lp import (
+    BASIC,
+    NONBASIC,
+    FactoredStart,
+    LinearProgram,
+    LpBasis,
+    LpError,
+    LpStatus,
+    factored_start,
+    solve_lp,
+)
 from .tube import ControllableTube
 from .uncertainty import DisturbanceSchedule, UncertaintyModel
 
@@ -214,11 +228,39 @@ def _one_step_model(cs_next, control_set, dyn) -> _OneStepModel:
     return _OneStepModel(control_set, dyn, LinearProgram(c_obj, E, f, lb=lb, ub=ub), basis)
 
 
+def _one_step_lp(x_phys, cs_next, control_set, dyn):
+    """The one-step model into cs_next (built once per control set and
+    dynamics, memoized on cs_next) and a copy of its program with the
+    state columns fixed at x_phys."""
+    model = cs_next.cached(
+        ("one_step", id(control_set), id(dyn)),
+        lambda: _one_step_model(cs_next, control_set, dyn),
+    )
+    prob = copy.copy(model.prob)
+    prob.lb, prob.ub = prob.lb.copy(), prob.ub.copy()
+    prob.lb[1 - STATE_DIM :] = prob.ub[1 - STATE_DIM :] = x_phys
+    return model, prob
+
+
+def _one_step_answer(sol, x_phys, control_set, dyn):
+    """(control, next_state, c_k) of a one-step LP's solution; raises
+    InfeasibleError or LpError for a verdict other than OPTIMAL."""
+    if sol.status == LpStatus.INFEASIBLE:
+        raise InfeasibleError("one-step control problem is infeasible from this state")
+    if sol.status != LpStatus.OPTIMAL:
+        raise LpError(f"one-step control LP ended with status {sol.status}")
+    c_k = float(sol.x_opt[-STATE_DIM])
+    control = control_set.G @ sol.x_opt[: control_set.n_generators] + control_set.c
+    next_state = dyn.step(np.concatenate([x_phys, [c_k]]), control)
+    return control, next_state, c_k
+
+
 def one_step_ocp(
     x_k,
     cs_next: ConstrainedZonotope,
     control_set: ConstrainedZonotope,
     dyn: DiscreteDynamics,
+    anchor: Optional[Callable[[], Optional[FactoredStart]]] = None,
 ):
     """Minimize the cost-to-go subject to landing in the next tube set.
 
@@ -231,26 +273,18 @@ def one_step_ocp(
     canonical bases, the query warm-starts from a basis assembled from
     them (``_OneStepModel``): for the landing dynamics an optimal basis
     of the same LP with the state free, dual feasible for every state.
-    Returns (control, next_state, c_k).
+    ``anchor`` is Monte Carlo's (``_NominalAnchors.at`` of this step):
+    called here, so that an anchor LP it solves on first use counts as a
+    one-step LP, it returns the query's start, or None for the joined
+    bases.  A state in an anchor's critical region costs no HiGHS run
+    (``lp.FactoredStart``).  Returns (control, next_state, c_k).
     """
     x_k = np.asarray(x_k, dtype=float).ravel()
     x_phys = x_k[: STATE_DIM - 1]
-    model = cs_next.cached(
-        ("one_step", id(control_set), id(dyn)),
-        lambda: _one_step_model(cs_next, control_set, dyn),
-    )
-    prob = copy.copy(model.prob)
-    prob.lb, prob.ub = prob.lb.copy(), prob.ub.copy()
-    prob.lb[1 - STATE_DIM :] = prob.ub[1 - STATE_DIM :] = x_phys
-    sol = solve_lp(prob, basis=model.basis)
-    if sol.status == LpStatus.INFEASIBLE:
-        raise InfeasibleError("one-step control problem is infeasible from this state")
-    if sol.status != LpStatus.OPTIMAL:
-        raise LpError(f"one-step control LP ended with status {sol.status}")
-    c_k = float(sol.x_opt[-STATE_DIM])
-    control = control_set.G @ sol.x_opt[: control_set.n_generators] + control_set.c
-    next_state = dyn.step(np.concatenate([x_phys, [c_k]]), control)
-    return control, next_state, c_k
+    model, prob = _one_step_lp(x_phys, cs_next, control_set, dyn)
+    start = None if anchor is None else anchor()
+    sol = solve_lp(prob, basis=model.basis if start is None else start)
+    return _one_step_answer(sol, x_phys, control_set, dyn)
 
 
 # -- forward rollout -------------------------------------------------------
@@ -491,6 +525,9 @@ class TrialResult:
     terminal_state: Optional[np.ndarray]
     fuel_kg: Optional[float]
     failure_step: Optional[int] = None
+    # "one_step_infeasible" (at failure_step), "terminal_outside", or ""
+    # for a trial that landed
+    failure_reason: str = ""
 
 
 @dataclass
@@ -538,6 +575,52 @@ def _draw(rng: np.random.Generator, factor: np.ndarray) -> np.ndarray:
     return (np.zeros(n) + rng.standard_normal((1, n)) @ factor.T).reshape(n)
 
 
+class _NominalAnchors:
+    """The anchors of ``monte_carlo``'s one-step LPs.  Step k's is the
+    factored optimal basis (``lp.factored_start``) of the one-step LP into
+    targets[k-1] on one noise-free pass from the augmented state y_0,
+    solved from the joined canonical bases.  Each is memoized on its
+    target under (control set, dynamics, pinned state), with the pass's
+    next state, so the anchors are a pure function of these inputs and
+    each is solved once per process.  The pass advances on first use
+    (``at``), inside the one-step query that first needs a step, so its
+    LPs are one-step LPs there; which trial gets there first changes no
+    anchor.  A step the pass cannot take, and every step after it, has
+    no anchor (None)."""
+
+    def __init__(self, y_0, targets, control_set, dyn):
+        self._y = np.array(y_0, dtype=float)
+        self._targets, self._control_set, self._dyn = targets, control_set, dyn
+        self._made = []
+        self._ended = False
+        self._lock = threading.Lock()
+
+    def at(self, k: int) -> Optional[FactoredStart]:
+        """Step k's anchor (1-based), making the pass up to step k first."""
+        with self._lock:
+            while len(self._made) < k and not self._ended:
+                self._advance()
+            return self._made[k - 1] if k <= len(self._made) else None
+
+    def _advance(self):
+        target, control_set, dyn = self._targets[len(self._made)], self._control_set, self._dyn
+        x_phys = self._y[: STATE_DIM - 1].copy()
+
+        def anchor_and_next():
+            model, prob = _one_step_lp(x_phys, target, control_set, dyn)
+            sol = solve_lp(prob, basis=model.basis)
+            _, next_state, _ = _one_step_answer(sol, x_phys, control_set, dyn)
+            return factored_start(prob, sol), next_state
+
+        key = ("one_step_anchor", id(control_set), id(dyn), x_phys.tobytes())
+        try:
+            anchor, self._y = target.cached(key, anchor_and_next)
+        except (InfeasibleError, LpError):
+            self._ended = True
+            return
+        self._made.append(anchor)
+
+
 def monte_carlo(
     scn: LandingScenario,
     tube: ControllableTube,
@@ -563,6 +646,16 @@ def monte_carlo(
     draw is bitwise the one NumPy's ``multivariate_normal`` makes from
     the same stream (``_normal_factor``).
 
+    Each step's one-step LP starts from the step's anchor: the optimal
+    basis of that step on one noise-free pass from the initial state
+    (``_NominalAnchors``), memoized on the target, so it is solved once
+    per process.  A state in the anchor's critical region is answered
+    with no HiGHS run, and any other runs HiGHS from the anchor's basis.
+    The pass does not go through the name ``one_step_ocp``, and no trial
+    changes an anchor, so a trial's result depends on (master_seed,
+    trial index) and the inputs alone.  A failed trial names its ``failure_reason``:
+    "one_step_infeasible" at ``failure_step``, or "terminal_outside".
+
     Step k steers into the tube's step-k eroded target
     (``ControllableTube.eroded``, made offline by ``robust_recursion``),
     or into eroded[k] when eroded maps each step 1..N-1 to its target.
@@ -581,17 +674,21 @@ def monte_carlo(
     # each noise covariance is factored once per call, not once per draw
     nav_factors = {k: _normal_factor(model.sigma_x(k, N)) for k in range(1, N)}
     exec_factor = _normal_factor(model.Sigma_u) if model.n_u else None
+    y_0 = np.concatenate([scn.initial_state(), [0.0]])
+    anchors = _NominalAnchors(y_0, [eroded[k] for k in range(1, N)], control_set_robust, dyn)
 
     def run_trial(t: int) -> TrialResult:
         rng = np.random.default_rng([master_seed, t])
-        y = np.concatenate([scn.initial_state(), [0.0]])
+        y = y_0.copy()
         for k in range(1, N):
             w_x = _draw(rng, nav_factors[k])
             estimate = y + model.E_w_x @ w_x
             try:
-                command, _, c_k = one_step_ocp(estimate, eroded[k], control_set_robust, dyn)
+                command, _, c_k = one_step_ocp(estimate, eroded[k], control_set_robust, dyn,
+                                               functools.partial(anchors.at, k))
             except InfeasibleError:
-                return TrialResult(t, master_seed, False, None, None, failure_step=k)
+                return TrialResult(t, master_seed, False, None, None, failure_step=k,
+                                   failure_reason="one_step_infeasible")
             applied = command
             if exec_factor is not None:  # a model may have no execution noise
                 applied = command + model.E_w_u @ _draw(rng, exec_factor)
@@ -599,7 +696,8 @@ def monte_carlo(
             y = dyn.step(y, applied)
         ok = terminal_set_fulldim.contains_point(y, tol=START_TOL)
         fuel = scn.m_wet - float(np.exp(y[6]))
-        return TrialResult(t, master_seed, bool(ok), y.copy(), fuel)
+        return TrialResult(t, master_seed, bool(ok), y.copy(), fuel,
+                           failure_reason="" if ok else "terminal_outside")
 
     with ThreadPoolExecutor(max_workers=min(_thread_count(), trials) or 1) as pool:
         results = list(pool.map(run_trial, range(trials)))

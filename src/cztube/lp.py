@@ -35,7 +35,12 @@ as it is.  Which basis each LP starts from is set out once, in
 ``cztube.czset``.  The checks above apply unchanged to a warm run,
 and its retry runs cold.  HiGHS picks the simplex variant of a warm run
 from the start it is given: primal simplex from a primal feasible
-basis, dual simplex otherwise.  Cold runs use dual simplex.
+basis, dual simplex otherwise.  Cold runs use dual simplex.  A
+``FactoredStart`` is an optimal basis with its basis matrix factored:
+a program that differs from the basis's own only in the values of
+fixed columns, and whose basic solution lies within its bounds, is
+answered from the factors, with no HiGHS model, after the same OPTIMAL
+check (``solve_lp``); any other runs HiGHS from the basis.
 
 Each thread holds the HiGHS model of its last simplex run on rows that
 the LP before it had too, and its next LP runs on that model when it
@@ -60,6 +65,7 @@ from typing import Optional, Union
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize._highspy import _core as highs
+from scipy.sparse.linalg import splu
 
 FEAS_TOL = 1e-8
 # Relative error allowed in a Farkas ray, HiGHS's dual feasibility
@@ -229,8 +235,9 @@ class LpBasis:
         return LpBasis(tuple(statuses[:n_cols]), tuple(statuses[n_cols:]))
 
 
-# a simplex start: an LpBasis, or HiGHS's basis of an optimal run
-Start = Union[LpBasis, highs.HighsBasis]
+# a simplex start: an LpBasis, HiGHS's basis of an optimal run, or a
+# FactoredStart (``solve_lp``)
+Start = Union[LpBasis, highs.HighsBasis, "FactoredStart"]
 
 
 @dataclass
@@ -531,6 +538,116 @@ def linprog(prob: LinearProgram, method: str = "highs", basis: Optional[Start] =
     return run
 
 
+@dataclass(frozen=True, eq=False)
+class FactoredStart:
+    """An optimal simplex basis of one program (the anchor), with its
+    basis matrix factored (``factored_start``), as a start for programs
+    that differ from the anchor only in the values of fixed columns.
+
+    Such a program has the anchor's ``A``, ``c_obj``, ``row_lo`` and
+    ``row_hi``, and its column bounds differ only on columns fixed
+    (lb = ub) in both (``serves``).  The basis is then dual feasible for
+    it, since reduced costs read only A, the costs and the statuses, and
+    a fixed column may sit at its value with a reduced cost of either
+    sign.  So the basis is optimal for the program wherever its basic
+    solution lies within the bounds: the program's critical region.
+    ``solution_at`` forms that solution from the factors, with the
+    nonbasic columns and rows at the program's bounds as the statuses
+    place them.  ``solve_lp`` returns it OPTIMAL, after its usual
+    recheck, with no HiGHS model; any other program runs HiGHS from
+    ``highs_basis``."""
+
+    program: LinearProgram
+    highs_basis: highs.HighsBasis = field(repr=False)
+    basic_cols: np.ndarray = field(repr=False)
+    nonbasic_cols: np.ndarray = field(repr=False)
+    col_at_upper: np.ndarray = field(repr=False)
+    col_at_zero: np.ndarray = field(repr=False)
+    # the nonbasic rows' matrix over the nonbasic columns, and their values
+    nonbasic_block: sp.csr_matrix = field(repr=False)
+    row_values: np.ndarray = field(repr=False)
+    lu: Optional[object] = field(repr=False)
+    # SuperLU objects are not documented as safe to share across threads
+    lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    def serves(self, prob: LinearProgram) -> bool:
+        """True iff prob differs from the anchor only in the bounds of
+        columns fixed in both."""
+        anchor = self.program
+        if prob.n_vars != anchor.n_vars or prob.A.shape != anchor.A.shape:
+            return False
+        if not (_same(prob.A.indptr, anchor.A.indptr) and _same(prob.A.indices, anchor.A.indices)
+                and _same(prob.A.data, anchor.A.data) and _same(prob.c_obj, anchor.c_obj)
+                and _same(prob.row_lo, anchor.row_lo) and _same(prob.row_hi, anchor.row_hi)):
+            return False
+        moved = (prob.lb != anchor.lb) | (prob.ub != anchor.ub)
+        return bool(np.all(prob.lb[moved] == prob.ub[moved])
+                    and np.all(anchor.lb[moved] == anchor.ub[moved]))
+
+    def solution_at(self, prob: LinearProgram) -> Optional[np.ndarray]:
+        """The basic solution at prob's bounds when it lies within prob's
+        column and row bounds (up to HiGHS's primal feasibility
+        tolerance, by which it too calls a basis optimal), else None.
+        For a program the start ``serves`` only."""
+        if self.lu is None:
+            return None
+        lo, hi = prob.lb[self.nonbasic_cols], prob.ub[self.nonbasic_cols]
+        x_n = np.where(self.col_at_upper, hi, np.where(self.col_at_zero, 0.0, lo))
+        if not np.all(np.isfinite(x_n)):
+            return None
+        rhs = self.row_values - self.nonbasic_block @ x_n
+        with self.lock:
+            x_b = self.lu.solve(rhs)
+        x = np.empty(prob.n_vars)
+        x[self.nonbasic_cols] = x_n
+        x[self.basic_cols] = x_b
+        tol = _PRIMAL_TOL
+        ax = prob.A @ x
+        if not (np.all(x >= prob.lb - tol) and np.all(x <= prob.ub + tol)
+                and np.all(ax >= prob.row_lo - tol) and np.all(ax <= prob.row_hi + tol)):
+            return None
+        return x
+
+
+_PRIMAL_TOL = _COMMON_OPTIONS["primal_feasibility_tolerance"]
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a is b or np.array_equal(a, b)
+
+
+def factored_start(prob: LinearProgram, sol: LpSolution) -> FactoredStart:
+    """The start made of sol's optimal simplex basis of prob, with the
+    square matrix of its basic columns over its nonbasic rows factored
+    (``scipy.sparse.linalg.splu``).  The basis has one basic entry per
+    row, so there are as many basic columns as nonbasic rows.  When that
+    matrix cannot be factored, the start only runs HiGHS from the basis."""
+    if sol.highs_basis is None:
+        raise ValueError("a factored start needs the basis of an optimal simplex run")
+    cols = np.array([int(s) for s in sol.highs_basis.col_status])
+    rows = np.array([int(s) for s in sol.highs_basis.row_status])
+    basic = _CODE_OF[BASIC]
+    basic_cols, nonbasic_cols = np.flatnonzero(cols == basic), np.flatnonzero(cols != basic)
+    fixed_rows = np.flatnonzero(rows != basic)
+    row_status = rows[fixed_rows]
+    row_values = np.where(row_status == _CODE_OF[highs.HighsBasisStatus.kUpper],
+                          prob.row_hi[fixed_rows],
+                          np.where(row_status == _CODE_OF[highs.HighsBasisStatus.kZero], 0.0,
+                                   prob.row_lo[fixed_rows]))
+    nonbasic_status = cols[nonbasic_cols]
+    A_rows = prob.A[fixed_rows]
+    try:
+        lu = splu(A_rows[:, basic_cols].tocsc()) if np.all(np.isfinite(row_values)) else None
+    except (RuntimeError, ValueError):  # singular, or no basic column
+        lu = None
+    return FactoredStart(
+        prob, sol.highs_basis, basic_cols, nonbasic_cols,
+        nonbasic_status == _CODE_OF[highs.HighsBasisStatus.kUpper],
+        nonbasic_status == _CODE_OF[highs.HighsBasisStatus.kZero],
+        A_rows[:, nonbasic_cols].tocsr(), row_values, lu,
+    )
+
+
 def solve_lp(prob: LinearProgram, method: str = "highs", basis: Optional[Start] = None) -> LpSolution:
     """Solve an LP, classifying the outcome.
 
@@ -541,8 +658,13 @@ def solve_lp(prob: LinearProgram, method: str = "highs", basis: Optional[Start] 
 
     basis warm-starts simplex (IPM ignores it), as in ``linprog``;
     callers pass the bases that ``cztube.czset`` sets out, and any
-    nonsingular basis is a valid start.  A warm start changes how the solver gets to its verdict, not
-    how the verdict is checked.
+    nonsingular basis is a valid start.  A warm start changes how the
+    solver gets to its verdict, not how the verdict is checked.  A
+    ``FactoredStart`` that ``serves`` prob is tried first: its basic
+    solution at prob's bounds, when it lies within them
+    (``FactoredStart.solution_at``) and passes the OPTIMAL recheck
+    below, is returned OPTIMAL with the start's basis, and no HiGHS
+    model is made.  Otherwise simplex runs from the start's basis.
 
     The contract on the result:
 
@@ -570,6 +692,12 @@ def solve_lp(prob: LinearProgram, method: str = "highs", basis: Optional[Start] 
     INFEASIBLE.  An optimal simplex run carries its basis in
     ``LpSolution.basis``; no solution carries duals.
     """
+    if isinstance(basis, FactoredStart):
+        if basis.serves(prob):
+            x = basis.solution_at(prob)
+            if x is not None and _feasibility_residual(prob, x) <= FEAS_TOL:
+                return LpSolution(LpStatus.OPTIMAL, x, float(prob.c_obj @ x), basis.highs_basis)
+        basis = basis.highs_basis
     sol = _solve_once(prob, method, basis)
     if sol.status == LpStatus.NUMERICAL_FAILURE:
         fallback = "highs" if method == "highs-ipm" else "highs-ipm"

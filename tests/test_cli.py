@@ -498,8 +498,8 @@ def test_robust_tube_serves_another_start(rob_tube, tmp_path):
 
 def test_montecarlo_csv_reports_the_infeasible_step(rob_cfg, rob_tube, tmp_path, monkeypatch):
     # trial 0's one-step LP at step 2 is made infeasible; its row names
-    # that step and leaves the terminal state and fuel empty, while a
-    # trial that ran to the end leaves failure_step empty
+    # that step and its reason and leaves the terminal state and fuel
+    # empty, while a trial that ran to the end leaves both empty
     one_step = guidance.one_step_ocp
     calls = []
 
@@ -518,6 +518,8 @@ def test_montecarlo_csv_reports_the_infeasible_step(rob_cfg, rob_tube, tmp_path,
     at = {name: i for i, name in enumerate(header)}
     failed, landed = rows
     assert failed[at["success"]] == "0" and failed[at["failure_step"]] == "2"
+    assert failed[at["failure_reason"]] == "one_step_infeasible"
     assert all(failed[i] == "" for i in range(at["term_rx"], len(header)))
     assert landed[at["success"]] == "1" and landed[at["failure_step"]] == ""
+    assert landed[at["failure_reason"]] == ""
     assert landed[at["fuel_kg"]] != ""

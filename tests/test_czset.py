@@ -1008,3 +1008,43 @@ def test_erosion_soundness_randomized():
 def test_full_dimensionality_detection():
     assert CZ.from_box([-1.0, -1.0], [1.0, 1.0]).is_full_dimensional()
     assert not CZ.from_box([0.0, -1.0], [0.0, 1.0]).is_full_dimensional()
+
+
+def test_containment_lp_is_the_per_point_assembly_built_once(monkeypatch):
+    # every point's containment LP copies one program made per set and
+    # gives it the point's right-hand sides and row scales, entry for
+    # entry the LP assembled afresh for that point
+    rng = np.random.default_rng(8)
+    G = rng.normal(size=(3, 6))
+    z = CZ(G, rng.normal(size=3), sp.csr_matrix(rng.normal(size=(2, 6))), rng.normal(size=2) * 0.1)
+    seen, built = [], []
+    solve, program = czset.solve_lp, CZ._containment_program
+
+    def solve_spy(prob, *args, **kwargs):
+        seen.append(prob)
+        return solve(prob, *args, **kwargs)
+
+    def program_spy(self):
+        built.append(self)
+        return program(self)
+
+    monkeypatch.setattr(czset, "solve_lp", solve_spy)
+    monkeypatch.setattr(CZ, "_containment_program", program_spy)
+    points = [rng.normal(size=3) for _ in range(3)] + [z.c]
+    for y in points:
+        z.containment_residual(y)
+    assert built == [z]
+    n_g, n = z.n_generators, z.dim
+    for y, prob in zip(points, seen, strict=True):
+        Gs, ones = sp.csr_matrix(z.G), sp.csr_matrix(np.ones((n, 1)))
+        ref = lp.LinearProgram(
+            np.r_[np.zeros(n_g), 1.0],
+            sp.hstack([z.A, sp.csr_matrix((z.A.shape[0], 1))], format="csr"), z.b,
+            sp.vstack([sp.hstack([Gs, -ones]), sp.hstack([-Gs, -ones])], format="csr"),
+            np.concatenate([y - z.c, z.c - y]),
+            np.r_[-np.ones(n_g), 0.0], np.r_[np.ones(n_g), np.inf],
+        )
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(prob.A, name), getattr(ref.A, name))
+        for name in ("c_obj", "lb", "ub", "f", "g", "row_lo", "row_hi", "row_scale"):
+            assert getattr(prob, name).tobytes() == getattr(ref, name).tobytes(), name

@@ -1046,12 +1046,13 @@ def test_monte_carlo_asks_for_a_rebuild_before_any_lp_without_targets(robust_toy
 
 def test_monte_carlo_settles_fresh_targets_once(robust_toy, monkeypatch):
     # unsettled copies of the eroded targets give the trials of the
-    # settled ones; each is settled once, by the first trial to reach it
+    # settled ones; each is settled once, by the nominal pass that makes
+    # its anchor
     scn, dyn, model, sched, U_rob, Tf, tube, sink = robust_toy
     monkeypatch.setenv("CZTUBE_THREADS", "2")
     settled = monte_carlo(scn, tube, model, sched, U_rob, Tf, dyn, trials=4, master_seed=11,
                           eroded=sink)
-    fresh = {k: ConstrainedZonotope(Z.G, Z.c, Z.A, Z.b) for k, Z in sink.items()}
+    fresh = _fresh_targets(sink)
     calls = []
     settle = ConstrainedZonotope._settle_emptiness
 
@@ -1120,3 +1121,84 @@ def test_monte_carlo_trial_results_carry_metadata(robust_toy):
         if r.success:
             assert Tf.contains_point(r.terminal_state, tol=1e-5)
             assert r.failure_step is None
+            assert r.failure_reason == ""
+
+
+def _fresh_targets(sink):
+    """Copies of the eroded targets with nothing memoized on them."""
+    return {k: ConstrainedZonotope(Z.G, Z.c, Z.A, Z.b) for k, Z in sink.items()}
+
+
+def _same_trials(a, b):
+    for ra, rb in zip(a.results, b.results, strict=True):
+        assert (ra.trial, ra.seed, ra.success, ra.fuel_kg, ra.failure_step, ra.failure_reason) == (
+            rb.trial, rb.seed, rb.success, rb.fuel_kg, rb.failure_step, rb.failure_reason)
+        assert ra.terminal_state.tobytes() == rb.terminal_state.tobytes()
+
+
+def test_monte_carlo_is_bitwise_the_same_on_one_and_two_threads(robust_toy, monkeypatch):
+    # the anchors come from the nominal pass alone, never from a trial,
+    # so neither the pool size nor the number of trials moves a result
+    scn, dyn, model, sched, U_rob, Tf, tube, sink = robust_toy
+    runs = {}
+    for threads, trials in (("1", 6), ("2", 6), ("2", 3)):
+        monkeypatch.setenv("CZTUBE_THREADS", threads)
+        runs[threads, trials] = monte_carlo(scn, tube, model, sched, U_rob, Tf, dyn,
+                                            trials=trials, master_seed=17,
+                                            eroded=_fresh_targets(sink))
+    _same_trials(runs["1", 6], runs["2", 6])
+    first = runs["2", 6]
+    _same_trials(runs["2", 3], type(first)(3, 0, first.results[:3]))
+
+
+def test_monte_carlo_anchors_are_solved_once_per_process(robust_toy, monkeypatch):
+    # the first call solves each step's nominal LP from the joined
+    # canonical bases and factors its basis; every one-step LP of a trial
+    # starts from its step's anchor, and a second call solves no anchor LP
+    scn, dyn, model, sched, U_rob, Tf, tube, sink = robust_toy
+    fresh = _fresh_targets(sink)
+    starts, factored = [], []
+    solve, factor = guidance.solve_lp, guidance.factored_start
+
+    def solve_spy(prob, method="highs", basis=None):
+        starts.append(type(basis).__name__)
+        return solve(prob, method, basis)
+
+    def factor_spy(prob, sol):
+        factored.append(prob.n_vars)
+        return factor(prob, sol)
+
+    monkeypatch.setattr(guidance, "solve_lp", solve_spy)
+    monkeypatch.setattr(guidance, "factored_start", factor_spy)
+    first = monte_carlo(scn, tube, model, sched, U_rob, Tf, dyn, trials=3, master_seed=11,
+                        eroded=fresh)
+    steps = tube.N - 1
+    assert len(factored) == steps
+    assert starts.count("LpBasis") == steps
+    assert set(starts) == {"LpBasis", "FactoredStart"}
+    del starts[:], factored[:]
+    second = monte_carlo(scn, tube, model, sched, U_rob, Tf, dyn, trials=3, master_seed=11,
+                         eroded=fresh)
+    assert factored == [] and set(starts) == {"FactoredStart"}
+    _same_trials(first, second)
+
+
+def test_monte_carlo_trials_name_their_failure(robust_toy, monkeypatch):
+    scn, dyn, model, sched, U_rob, Tf, tube, sink = robust_toy
+    far = Tf.translate(np.full(Tf.dim, 1e4))
+    mc = monte_carlo(scn, tube, model, sched, U_rob, far, dyn, trials=2, master_seed=5,
+                     eroded=sink)
+    assert [(r.success, r.failure_step, r.failure_reason) for r in mc.results] == [
+        (False, None, "terminal_outside")] * 2
+    one_step = guidance.one_step_ocp
+
+    def failing_last_step(x_k, cs_next, *args):
+        if cs_next is sink[tube.N - 1]:
+            raise InfeasibleError("forced")
+        return one_step(x_k, cs_next, *args)
+
+    monkeypatch.setattr(guidance, "one_step_ocp", failing_last_step)
+    mc = monte_carlo(scn, tube, model, sched, U_rob, Tf, dyn, trials=2, master_seed=5,
+                     eroded=sink)
+    assert [(r.success, r.failure_step, r.failure_reason, r.terminal_state) for r in mc.results
+            ] == [(False, tube.N - 1, "one_step_infeasible", None)] * 2

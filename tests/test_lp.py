@@ -16,6 +16,7 @@ from cztube.lp import (
     LpBasis,
     LpStatus,
     _feasibility_residual,
+    factored_start,
     farkas_certifies,
     single_row_certifies,
     solve_lp,
@@ -692,3 +693,107 @@ def test_program_with_one_block_of_rows_holds_that_block():
     assert both.A.toarray().tolist() == [[0.0, 3.0, 1.0], [1.0, 0.0, 2.0], [0.0, -1.0, 0.0]]
     for prob in (only_e, only_h, both):
         assert solve_lp(prob).status == LpStatus.OPTIMAL
+
+
+def _parametric_program(p):
+    """min c'xi over the latent box with rows M xi + P p = f and
+    H xi <= g, with the parameter p in fixed columns (lb = ub = p)."""
+    rng = np.random.default_rng(3)
+    n, m, q = 12, 4, 3
+    M, P = rng.normal(size=(m, n)), rng.normal(size=(m, q))
+    xi0, p0 = rng.uniform(-0.5, 0.5, n), rng.normal(size=q)
+    Hm = rng.normal(size=(2, n))
+    c = np.concatenate([rng.normal(size=n), np.zeros(q)])
+    p = p0 if p is None else p0 + np.asarray(p, dtype=float)
+    return LinearProgram(c, np.hstack([M, P]), M @ xi0 + P @ p0,
+                         np.hstack([Hm, np.zeros((2, q))]), Hm @ xi0 + 0.3,
+                         np.concatenate([-np.ones(n), p]), np.concatenate([np.ones(n), p]))
+
+
+@pytest.fixture
+def anchored():
+    """The parametric program at its anchor parameter, and the factored
+    start of its optimum."""
+    anchor = _parametric_program(None)
+    start = factored_start(anchor, solve_lp(anchor))
+    return anchor, start
+
+
+def _backend_spy(monkeypatch):
+    runs = []
+    backend = lp.linprog
+
+    def spy(prob, method="highs", basis=None):
+        runs.append(basis)
+        return backend(prob, method, basis)
+
+    monkeypatch.setattr(lp, "linprog", spy)
+    return runs
+
+
+@pytest.mark.parametrize("move", [1e-3, 1e-2, 0.1, 0.3])
+def test_region_hit_equals_highs_from_the_same_basis(anchored, monkeypatch, move):
+    # a parameter in the anchor's critical region is answered with no
+    # HiGHS run, and the answer is the one HiGHS gives from that basis
+    anchor, start = anchored
+    prob = _parametric_program(move * np.array([1.0, -0.5, 0.25]))
+    assert start.serves(prob)
+    ref = solve_lp(prob, basis=start.highs_basis)
+    runs = _backend_spy(monkeypatch)
+    sol = solve_lp(prob, basis=start)
+    assert runs == []
+    assert sol.status == ref.status == LpStatus.OPTIMAL
+    assert np.all(np.abs(sol.x_opt - ref.x_opt) <= FEAS_TOL * np.maximum(1.0, np.abs(ref.x_opt)))
+    assert abs(sol.objective_value - ref.objective_value) <= FEAS_TOL * max(
+        1.0, abs(ref.objective_value))
+    assert sol.highs_basis is start.highs_basis
+    assert _feasibility_residual(prob, sol.x_opt) <= FEAS_TOL
+
+
+def test_state_outside_the_region_falls_back_to_highs_from_the_anchor(anchored, monkeypatch):
+    anchor, start = anchored
+    prob = _parametric_program([1.0, -0.5, 0.25])
+    assert start.serves(prob) and start.solution_at(prob) is None
+    cold = solve_lp(prob)
+    runs = _backend_spy(monkeypatch)
+    sol = solve_lp(prob, basis=start)
+    assert runs == [start.highs_basis]
+    assert sol.status == cold.status == LpStatus.OPTIMAL
+    assert abs(sol.objective_value - cold.objective_value) <= FEAS_TOL * max(
+        1.0, abs(cold.objective_value))
+
+
+def test_other_costs_rows_or_free_bounds_never_take_the_region_path(anchored, monkeypatch):
+    # the anchor's basis is dual feasible only for its own costs and rows,
+    # with only fixed columns moved; every other program runs HiGHS
+    anchor, start = anchored
+    near = _parametric_program([1e-3, 0.0, 0.0])
+    other_costs = copy.copy(near)
+    other_costs.c_obj = near.c_obj + 0.5
+    other_rows = LinearProgram(near.c_obj, near.E, near.f + 1e-3, near.H, near.g, near.lb, near.ub)
+    free_bound = copy.copy(near)
+    free_bound.ub = near.ub.copy()
+    free_bound.ub[0] = 0.99
+    unfixed = copy.copy(near)
+    unfixed.ub = near.ub.copy()
+    unfixed.ub[-1] += 1.0
+    runs = _backend_spy(monkeypatch)
+    for prob in (other_costs, other_rows, free_bound, unfixed):
+        assert not start.serves(prob)
+        assert solve_lp(prob, basis=start).status == LpStatus.OPTIMAL
+    assert runs == [start.highs_basis] * 4
+
+
+def test_a_region_point_that_fails_the_recheck_is_never_returned(anchored, monkeypatch):
+    anchor, start = anchored
+    prob = _parametric_program([1e-3, 0.0, 0.0])
+    good = start.solution_at(prob)
+    bad = good.copy()
+    bad[0] += 1e-4  # inside the box, but off the equality rows
+    assert _feasibility_residual(prob, bad) > FEAS_TOL
+    monkeypatch.setattr(lp.FactoredStart, "solution_at", lambda self, p: bad)
+    runs = _backend_spy(monkeypatch)
+    sol = solve_lp(prob, basis=start)
+    assert len(runs) == 1
+    assert sol.status == LpStatus.OPTIMAL and not np.array_equal(sol.x_opt, bad)
+    assert _feasibility_residual(prob, sol.x_opt) <= FEAS_TOL

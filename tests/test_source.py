@@ -1,8 +1,8 @@
 """Guards over the package sources: no import goes unused, no
 module-level private function or class goes unreferenced, only
-``cztube.lp`` makes HiGHS models and sets their starts, no module draws
-through NumPy's ``multivariate_normal``, and only ``cztube.tube``
-erodes."""
+``cztube.lp`` makes HiGHS models, sets their starts and factors a basis,
+no module draws through NumPy's ``multivariate_normal``, and only
+``cztube.tube`` erodes."""
 
 import ast
 from pathlib import Path
@@ -78,6 +78,23 @@ def test_only_the_lp_module_builds_solver_models():
     # an LpBasis or HiGHS's own basis of an earlier optimum
     solver_calls = {"_Highs", "passModel", "changeColsCost", "setBasis", "clearSolver"}
     holders = {name for name, tree in _modules().items() if solver_calls & _references(tree)}
+    assert holders == {"lp.py"}
+
+
+def test_only_the_lp_module_factors_a_basis():
+    # the factored starts of one-step LPs (lp.FactoredStart) are the only
+    # sparse factorizations; a caller hands lp a solution to factor
+    def factors(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                    "scipy.sparse.linalg"):
+                return True
+            if isinstance(node, ast.Import) and any(
+                    a.name.startswith("scipy.sparse.linalg") for a in node.names):
+                return True
+        return bool({"splu", "spilu", "factorized", "spsolve"} & _references(tree))
+
+    holders = {name for name, tree in _modules().items() if factors(tree)}
     assert holders == {"lp.py"}
 
 
